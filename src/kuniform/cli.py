@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import click
 
+from . import __version__
 from .constructions import (
     bush_extended_oa,
     bush_oa,
@@ -96,7 +97,7 @@ def _one_based_columns(text: str, what: str) -> list[int]:
 
 
 @click.group()
-@click.version_option(package_name="kuniform", prog_name="kuniform")
+@click.version_option(version=__version__, prog_name="kuniform")
 def main() -> None:
     """Orthogonal arrays, k-uniform states, and exact certification."""
 

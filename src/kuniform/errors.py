@@ -102,6 +102,11 @@ class Unsupported(KuniformError):
     """The request falls outside the implemented scope."""
 
 
+class PostconditionFailed(KuniformError):
+    """A result failed the library's own check of it: a library defect,
+    not a bad input."""
+
+
 # --- graphs ----------------------------------------------------------------
 
 class PhasesPresent(KuniformError):

@@ -9,6 +9,8 @@ reductions for states whose terms all carry one common phase:
 
 Checking both rules over every partition certifies k-uniformity for that
 phase class; states with mixed phases must use the spectral certifier.
+Over all partitions the rules are array properties of the terms' words:
+B' is strength k and A' is irredundancy at k.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from itertools import combinations, product
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import ParameterViolation, ParseError, PhasesPresent
-from .states import DIGITS36, PureState, _validated_subset
+from .oa import OrthogonalArray, is_irredundant, verify_strength
+from .states import DIGITS36, PureState, _validated_subset, word_to_digits
 
 _PHASE_EQ_TOL = 1e-12
 
@@ -93,16 +96,15 @@ def _require_common_phase(state: PureState) -> None:
 
 def is_k_uniform_by_graphs(state: PureState, k: int) -> bool:
     """Both degree rules on every C(N, k) partition.  Only valid for states
-    whose terms share one phase (raises PhasesPresent otherwise)."""
+    whose terms share one phase (raises PhasesPresent otherwise).  The
+    rules are checked as strength k and irredundancy at k of the words."""
     n = state.qudits
     if not 1 <= k <= n - 1:
         raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
     _require_common_phase(state)
-    for kept in combinations(range(n), k):
-        rules = check_rules(graph_from_state(state, kept))
-        if not (rules.diagonality and rules.uniformity):
-            return False
-    return True
+    array = OrthogonalArray(tuple(word_to_digits(w) for w in state.words),
+                            state.levels)
+    return verify_strength(array, k) and is_irredundant(array, k).ok
 
 
 def graphs_identical(state: PureState, k: int) -> bool:

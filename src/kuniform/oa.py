@@ -150,21 +150,50 @@ def is_irredundant(array: OrthogonalArray, k: int) -> IrredundancyResult:
     """True iff removing any k columns leaves the rows pairwise distinct.
 
     On failure, the witness carries the lexicographically smallest offending
-    removed-column set and the first duplicated row pair (i < j) under it.
+    removed-column set and the first duplicated row pair (i < j) under it:
+    j is the first row that repeats an earlier one, and i that earlier row.
     """
     n = array.factors
     if not 0 <= k <= n:
         raise ParameterViolation(f"k {k} outside 0..{n}")
+    levels_type = np.min_scalar_type(array.levels - 1)
+    grid = np.asarray(array.rows, dtype=levels_type)
     for removed in combinations(range(n), k):
         keep = [j for j in range(n) if j not in removed]
-        seen: dict = {}
-        for i, row in enumerate(array.rows):
-            key = tuple(row[j] for j in keep)
-            if key in seen:
-                return IrredundancyResult(
-                    False, IrredundancyWitness(removed, (seen[key], i)))
-            seen[key] = i
+        order, bounds = _group_rows(grid, keep)
+        starts = bounds[:-1][bounds[1:] - bounds[:-1] > 1]
+        if starts.size:
+            # rows keep their index order inside a group, so each group's
+            # second row is its first repeat
+            first = starts[np.argmin(order[starts + 1])]
+            pair = (int(order[first]), int(order[first + 1]))
+            return IrredundancyResult(False,
+                                      IrredundancyWitness(removed, pair))
     return IrredundancyResult(True)
+
+
+def _group_rows(grid: np.ndarray,
+                cols: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Group the rows of an unsigned-int grid by their values on `cols`.
+
+    Returns the stable order that sorts the rows by those values and the
+    group boundaries in it: group g is ``order[bounds[g]:bounds[g + 1]]``,
+    its rows in ascending index order.  The selected cells are written as
+    big-endian bytes and packed eight to a 64-bit sort key, so no base-d
+    code of the row is ever formed and no column count or level count can
+    overflow.  With no columns, all rows form one group.
+    """
+    r = grid.shape[0]
+    cells = grid[:, list(cols)]
+    raw = cells.astype(cells.dtype.newbyteorder(">"), order="C",
+                      copy=False).view(np.uint8)
+    packed = np.zeros((r, max(8, -(-raw.shape[1] // 8) * 8)), dtype=np.uint8)
+    packed[:, :raw.shape[1]] = raw
+    keys = packed.view(">u8")
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = (ordered[1:] != ordered[:-1]).any(axis=1).nonzero()[0] + 1
+    return order, np.concatenate(([0], starts, [r]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +208,7 @@ def rao_min_runs(n: int, d: int, k: int) -> int:
         return sum(comb(n, i) * (d - 1) ** i for i in range(k // 2 + 1))
     u = (k - 1) // 2
     base = sum(comb(n, i) * (d - 1) ** i for i in range(u + 1))
-    return base + comb(n - 1, u) * (d - 1) ** u
+    return base + comb(n - 1, u) * (d - 1) ** (u + 1)
 
 
 def is_tight(array: OrthogonalArray) -> bool:

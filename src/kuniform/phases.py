@@ -28,11 +28,12 @@ from .errors import (
     NotAnOAAtStrength,
     OddContributions,
     ParameterViolation,
+    PostconditionFailed,
     Unsupported,
     UnsupportedMultiplicity,
 )
 from .oa import OrthogonalArray, verify_strength
-from .states import PureState, digits_to_word, state_from_oa, uniformity
+from .states import PureState, _is_k_uniform, digits_to_word, state_from_oa
 
 EXHAUSTIVE_ROW_LIMIT = 21
 
@@ -195,7 +196,8 @@ def solve_signs(system: SignConstraintSystem) -> Union[SignSolution, _Infeasible
     for bit, (_, parity) in pivots.items():
         assignment[bit] = parity  # non-pivot variables in the row are free = 0
     solution = SignSolution(tuple(assignment))
-    assert system.satisfied_by(solution.assignment)
+    if not system.satisfied_by(solution.assignment):
+        raise PostconditionFailed("eliminated signs violate a constraint")
     return solution
 
 
@@ -237,7 +239,7 @@ def fix_state(array: OrthogonalArray, k: int) -> Union[PureState, _InfeasibleTyp
         if array.runs <= EXHAUSTIVE_ROW_LIMIT:
             result = _exhaustive_search(array, k)
             if result is not Infeasible:
-                assert uniformity(result, k).certified
+                _require_k_uniform(result, k)
             return result
         raise Unsupported(
             f"cell multiplicity beyond the linear treatment and "
@@ -248,5 +250,11 @@ def fix_state(array: OrthogonalArray, k: int) -> Union[PureState, _InfeasibleTyp
     if solution is Infeasible:
         return Infeasible
     state = state_from_oa(array, solution.phases)
-    assert uniformity(state, k).certified
+    _require_k_uniform(state, k)
     return state
+
+
+def _require_k_uniform(state: PureState, k: int) -> None:
+    if not _is_k_uniform(state, k):
+        raise PostconditionFailed(
+            f"repaired state does not certify as {k}-uniform")

@@ -1,10 +1,18 @@
 """Pure states built from array rows, exact reductions, and the certifier.
 
 A state is a sum of computational-basis kets with unit-modulus phases over
-distinct words (normalization by the term count is implicit).  Reductions
-are computed sparsely by grouping terms on the dropped coordinates -- the
-d**N state vector is never materialized -- and k-uniformity is certified by
-checking every k-column reduction against I/d**k.
+distinct words (normalization by the term count is implicit).  The d**N
+state vector is never materialized: terms are grouped by their values on
+the dropped columns, and only terms in one group meet in a reduction.
+
+`uniformity` certifies k-uniformity without any d**k x d**k matrix.  For
+each kept subset, the diagonal of the reduction is the kept-word counts and
+the off-diagonal cells come only from row pairs that share a dropped-column
+group, so a subset costs two row groupings plus the sum of squared group
+sizes, and memory never depends on d**k.  Dense matrices are built only by
+`reduce` itself, which `uniformity` calls just for the exact eigenvalues of
+a failing subset of dimension <= 64.  `max_uniformity` stops at the first
+failing subset.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +33,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import jacobi_eigvalsh, rank_by_eigenvalues
-from .oa import OrthogonalArray
+from .oa import OrthogonalArray, _group_rows
 
 DIGITS36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUE = {c: i for i, c in enumerate(DIGITS36)}
@@ -163,33 +171,95 @@ def _validated_subset(keep: Sequence[int], n: int, *,
 
 
 def reduce(state: PureState, keep: Sequence[int]) -> DensityMatrix:
-    """Exact reduced density matrix over the kept columns (0-based).
+    """Exact dense reduced density matrix over the kept columns (0-based).
 
     rho[a, a'] = (1/r) * sum of phase_i * conj(phase_j) over term pairs that
     agree on every dropped column and restrict to words a / a' on the kept
-    columns.  Terms are grouped by their dropped-coordinate word, so work is
-    proportional to the sum of squared group sizes, never to d**N.
+    columns.  Terms are grouped by their dropped-column values, so the work
+    besides the d**k x d**k matrix itself is proportional to the sum of
+    squared group sizes, never to d**N.
     """
     n, d = state.qudits, state.levels
     kept = _validated_subset(keep, n)
-    dropped = tuple(i for i in range(n) if i not in kept)
+    dropped = [i for i in range(n) if i not in kept]
     dim = d ** len(kept)
-
-    groups: dict = {}
-    for word, phase in state.terms:
-        code = 0
-        for i in kept:
-            code = code * d + _DIGIT_VALUE[word[i]]
-        bkey = "".join(word[i] for i in dropped)
-        groups.setdefault(bkey, []).append((code, phase))
+    grid, phases = _grid(state), np.array(state.phases)
+    codes = grid[:, kept].astype(np.int64) @ (
+        d ** np.arange(len(kept) - 1, -1, -1, dtype=np.int64))
 
     data = np.zeros((dim, dim), dtype=complex)
-    for members in groups.values():
-        for ai, pi in members:
-            for aj, pj in members:
-                data[ai, aj] += pi * pj.conjugate()
+    np.add.at(data, (codes, codes), phases * phases.conj())
+    u, v = _pairs(*_group_rows(grid, dropped))
+    value = phases[u] * phases[v].conj()
+    np.add.at(data, (codes[u], codes[v]), value)
+    np.add.at(data, (codes[v], codes[u]), value.conj())
     data /= state.term_count
     return DensityMatrix(data, kept, d)
+
+
+def _grid(state: PureState) -> np.ndarray:
+    """The terms' words as an r x N uint8 grid of level values."""
+    raw = np.frombuffer("".join(state.words).encode("ascii"), dtype=np.uint8)
+    grid = np.where(raw >= ord("a"), raw - (ord("a") - 10), raw - ord("0"))
+    return grid.astype(np.uint8).reshape(state.term_count, state.qudits)
+
+
+def _pairs(order: np.ndarray,
+           bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row pair (u, v) that shares a group of `_group_rows`, u listed
+    before v in the group; there are sum(g * (g - 1) / 2) of them."""
+    if len(bounds) == len(order) + 1:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty
+    # the row at sorted position p pairs with the rest of its group after p
+    later = (np.repeat(bounds[1:], bounds[1:] - bounds[:-1])
+             - np.arange(len(order)) - 1)
+    first = np.repeat(np.arange(len(order)), later)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    return order[first], order[first + 1 + offset]
+
+
+def _deviations(state: PureState, k: int,
+                tol: float) -> Iterator[Tuple[Tuple[int, ...], float]]:
+    """(kept, max|rho - I/d**k|) for every k-column subset, in
+    lexicographic order, without forming rho.
+
+    The distinct words make the terms of one dropped-column group differ on
+    the kept columns, so the diagonal of rho is the kept-word counts over r
+    (a kept word no term has counts 0) and the off-diagonal cells are fed
+    only by row pairs inside dropped-column groups of two or more terms.
+    Work per subset is two row groupings plus the sum of squared group
+    sizes; memory never depends on d**k.  Bad k or tol raise
+    ParameterViolation when iteration starts.
+    """
+    n, d, r = state.qudits, state.levels, state.term_count
+    if not 1 <= k <= n - 1:
+        raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
+    if tol <= 0:
+        raise ParameterViolation("tol must be positive")
+    grid, phases = _grid(state), np.array(state.phases)
+    target = 1.0 / d ** k
+    for kept in combinations(range(n), k):
+        kept_order, kept_bounds = _group_rows(grid, kept)
+        counts = kept_bounds[1:] - kept_bounds[:-1]
+        deviation = float(abs(counts / r - target).max())
+        if len(counts) < d ** k:
+            deviation = max(deviation, target)
+        dropped = [i for i in range(n) if i not in kept]
+        u, v = _pairs(*_group_rows(grid, dropped))
+        if len(u):
+            word = np.empty(r, dtype=np.int64)
+            word[kept_order] = np.repeat(np.arange(len(counts)), counts)
+            # orient each pair from the smaller to the larger kept word;
+            # the mirror cell of rho holds the conjugate sum
+            ascending = word[u] < word[v]
+            u, v = np.where(ascending, u, v), np.where(ascending, v, u)
+            value = phases[u] * phases[v].conj()
+            _, cell = np.unique(word[u] * r + word[v], return_inverse=True)
+            total = (np.bincount(cell, weights=value.real)
+                     + 1j * np.bincount(cell, weights=value.imag))
+            deviation = max(deviation, float(np.max(np.abs(total))) / r)
+        yield kept, deviation
 
 
 class MixednessResult(NamedTuple):
@@ -231,32 +301,35 @@ class UniformityReport:
 def uniformity(state: PureState, k: int,
                tol: float = DEFAULT_TOL) -> UniformityReport:
     """Check every C(N, k) kept subset; certified iff all are maximally
-    mixed.  Failing subsets of dimension <= 64 carry exact eigenvalues."""
-    n = state.qudits
-    if not 1 <= k <= n - 1:
-        raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
+    mixed.  Each subset is certified sparsely; only a failing subset of
+    dimension <= 64 gets a dense reduction, for its exact eigenvalues."""
     reports = []
-    certified = True
-    for kept in combinations(range(n), k):
-        rho = reduce(state, kept)
-        ok, deviation = is_maximally_mixed(rho, tol)
+    for kept, deviation in _deviations(state, k, tol):
+        ok = deviation <= tol
         eigenvalues = None
-        if not ok:
-            certified = False
-            if rho.dimension <= EIGENVALUE_DIM_LIMIT:
-                eigenvalues = tuple(float(v) for v in jacobi_eigvalsh(rho.data))
+        if not ok and state.levels ** k <= EIGENVALUE_DIM_LIMIT:
+            rho = reduce(state, kept)
+            eigenvalues = tuple(float(v) for v in jacobi_eigvalsh(rho.data))
         reports.append(SubsetReport(tuple(c + 1 for c in kept), ok,
                                     deviation, eigenvalues))
-    return UniformityReport(n, state.levels, k, tol, certified, tuple(reports))
+    certified = all(s.maximally_mixed for s in reports)
+    return UniformityReport(state.qudits, state.levels, k, tol, certified,
+                            tuple(reports))
+
+
+def _is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> bool:
+    """uniformity(state, k, tol).certified, stopping at the first failing
+    subset."""
+    return all(deviation <= tol for _, deviation in _deviations(state, k, tol))
 
 
 def max_uniformity(state: PureState, tol: float = DEFAULT_TOL) -> int:
     """Largest k <= floor(N/2) whose uniformity check certifies (0 if even
-    k = 1 fails); scans upward and stops at the first failure, which is
-    sound because k-uniformity implies k'-uniformity for k' < k."""
+    k = 1 fails); scans upward and stops at the first failing subset, which
+    is sound because k-uniformity implies k'-uniformity for k' < k."""
     best = 0
     for k in range(1, state.qudits // 2 + 1):
-        if not uniformity(state, k, tol).certified:
+        if not _is_k_uniform(state, k, tol):
             break
         best = k
     return best

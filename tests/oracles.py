@@ -95,6 +95,22 @@ def naive_max_strength(rows, d):
     return k
 
 
+def irredundancy_witness(rows, k):
+    """None when removing any k columns leaves the rows pairwise distinct;
+    otherwise (removed, (i, j)) for the lexicographically smallest such
+    removed set, j being the first row that repeats an earlier row i."""
+    n = len(rows[0])
+    for removed in combinations(range(n), k):
+        keep = [j for j in range(n) if j not in removed]
+        seen = {}
+        for i, row in enumerate(rows):
+            key = tuple(row[j] for j in keep)
+            if key in seen:
+                return removed, (seen[key], i)
+            seen[key] = i
+    return None
+
+
 # ---------------------------------------------------------------------------
 # partial traces
 # ---------------------------------------------------------------------------

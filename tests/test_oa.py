@@ -4,10 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuniform import (
     BadSubset,
     EmptyResult,
+    IrredundancyWitness,
     NotAPermutation,
     NotAnOAAtStrength,
     OrthogonalArray,
@@ -15,6 +18,7 @@ from kuniform import (
     ShapeMismatch,
     SymbolOutOfRange,
     WrongCount,
+    bush_extended_oa,
     cecc_singleton_holds,
     derive,
     extend_with_symbol,
@@ -36,7 +40,12 @@ from kuniform import (
     verify_strength,
 )
 
-from oracles import naive_max_strength, naive_strength_ok, rao_closed_form_d2
+from oracles import (
+    irredundancy_witness,
+    naive_max_strength,
+    naive_strength_ok,
+    rao_closed_form_d2,
+)
 
 
 def fx(fixtures_dir, name):
@@ -164,6 +173,28 @@ def test_witness_rows_really_collide(fixtures_dir):
     assert [a.rows[i][c] for c in kept] == [a.rows[j][c] for c in kept]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 6), st.data())
+def test_irredundancy_witness_matches_reference(d, n, data):
+    rows = data.draw(st.lists(
+        st.tuples(*[st.integers(0, d - 1)] * n), min_size=1, max_size=10))
+    k = data.draw(st.integers(0, n))
+    result = is_irredundant(OrthogonalArray(tuple(rows), d), k)
+    want = irredundancy_witness(rows, k)
+    assert result.ok is (want is None)
+    assert result.witness == (None if want is None else IrredundancyWitness(*want))
+
+
+def test_irredundancy_beyond_one_byte_levels():
+    rows = ((299, 0, 7), (44, 1, 7), (299, 1, 7), (44, 1, 999))
+    array = OrthogonalArray(rows, 1000)
+    for k in range(4):
+        want = irredundancy_witness(rows, k)
+        got = is_irredundant(array, k).witness
+        assert got == (None if want is None else IrredundancyWitness(*want))
+    assert is_irredundant(array, 1).witness == ((0,), (1, 2))
+
+
 def test_index_unity_arrays_with_small_strength_are_irredundant(fixtures_dir):
     # the guarantee needs index 1 at the array's own strength k and k <= N/2
     assert is_irredundant(PAIR_ARRAY, 1).ok
@@ -182,6 +213,8 @@ def test_index_unity_arrays_with_small_strength_are_irredundant(fixtures_dir):
 
 def test_rao_min_runs_examples():
     assert rao_min_runs(4, 2, 2) == 5
+    assert rao_min_runs(5, 3, 1) == 3
+    assert rao_min_runs(10, 8, 3) == 512
     for n in range(2, 30):
         assert rao_min_runs(n, 2, 1) == 2
         assert rao_min_runs(n, 2, 2) == n + 1
@@ -213,6 +246,7 @@ def test_is_tight_examples(fixtures_dir):
     nine = OrthogonalArray(tuple((a, b, (a + b) % 3, (a + 2 * b) % 3)
                                  for a, b in rows), 3)
     assert is_tight(nine)  # OA(9,4,3,2): bound is 1 + 4*2 = 9
+    assert is_tight(bush_extended_oa(8))  # 512 = 1 + 10*7 + 9*7**2
 
 
 def test_rao_report_fields(fixtures_dir):

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import kuniform.phases
 from kuniform import (
     DuplicateRows,
     Infeasible,
@@ -11,6 +12,7 @@ from kuniform import (
     OddContributions,
     OrthogonalArray,
     ParameterViolation,
+    PostconditionFailed,
     SignConstraint,
     SignConstraintSystem,
     Unsupported,
@@ -187,3 +189,15 @@ def test_fix_state_exhaustive_fallback_small():
 def test_fix_state_exhaustive_fallback_too_big():
     with pytest.raises(Unsupported):
         fix_state(full_factorial(2, 5, strength=5), 1)
+
+
+def test_failed_postconditions_raise_library_errors(fixtures_dir, monkeypatch):
+    # explicit checks, not asserts, so they hold under python -O
+    array = load_oa(fixtures_dir, "oa_8_5_2_2_signfix")
+    monkeypatch.setattr(kuniform.phases, "_is_k_uniform", lambda state, k: False)
+    with pytest.raises(PostconditionFailed):
+        fix_state(array, 2)
+    monkeypatch.setattr(SignConstraintSystem, "satisfied_by",
+                        lambda self, bits: False)
+    with pytest.raises(PostconditionFailed):
+        solve_signs(constraint_system(array, 2))

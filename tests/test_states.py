@@ -1,10 +1,15 @@
 """Pure states, partial traces, and uniformity certification."""
 
+import cmath
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kuniform.states
 from kuniform import (
     BadSubset,
     DensityMatrix,
@@ -15,6 +20,7 @@ from kuniform import (
     PhaseLengthMismatch,
     PureState,
     ShapeMismatch,
+    bush_oa,
     digits_to_word,
     is_maximally_mixed,
     layered_state,
@@ -27,10 +33,11 @@ from kuniform import (
     reduction_rank,
     state_from_oa,
     uniformity,
+    is_k_uniform_by_graphs,
     word_to_digits,
 )
 
-from oracles import dense_reduced_density
+from oracles import dense_reduced_density, eigvalsh
 
 
 def load_ket(fixtures_dir, name):
@@ -345,3 +352,86 @@ def test_permutation_symmetric_states_are_at_most_one_uniform(fixtures_dir):
             checked += 1
             assert max_uniformity(st) <= 1
     assert checked >= 1
+
+
+# ---------------------------------------------------------------------------
+# the sparse certifier against the dense oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_states(draw):
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(2, 4))
+    codes = draw(st.sets(st.integers(0, d ** n - 1), min_size=1, max_size=12))
+    signed = draw(st.booleans())
+    terms = []
+    for code in codes:
+        word = digits_to_word([code // d ** (n - 1 - i) % d for i in range(n)])
+        if signed:
+            phase = draw(st.sampled_from([1.0, -1.0]))
+        else:
+            phase = cmath.exp(1j * draw(st.floats(-np.pi, np.pi)))
+        terms.append((word, phase))
+    k = draw(st.integers(1, n - 1))
+    return PureState(n, d, tuple(terms)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_states())
+def test_uniformity_matches_dense_oracle(case):
+    state, k = case
+    n, d = state.qudits, state.levels
+    report = uniformity(state, k)
+    assert len(report.subsets) == comb(n, k)
+    eye = np.eye(d ** k) / d ** k
+    failed = False
+    for sub, kept in zip(report.subsets, itertools.combinations(range(n), k)):
+        assert sub.kept_labels == tuple(c + 1 for c in kept)
+        rho = dense_reduced_density(state.terms, n, d, kept)
+        assert sub.deviation == pytest.approx(np.max(np.abs(rho - eye)),
+                                              abs=1e-12)
+        assert sub.maximally_mixed == (sub.deviation <= report.tolerance)
+        if sub.maximally_mixed or d ** k > 64:
+            assert sub.eigenvalues is None
+        else:
+            assert np.allclose(sub.eigenvalues, eigvalsh(rho), atol=1e-9)
+        failed |= not sub.maximally_mixed
+    assert report.certified is not failed
+    assert max_uniformity(state) == max(
+        [0] + [j for j in range(1, n // 2 + 1) if uniformity(state, j).certified])
+    if len(set(state.phases)) == 1:
+        assert is_k_uniform_by_graphs(state, k) is report.certified
+
+
+def test_certifying_builds_no_dense_reduction(monkeypatch):
+    def refuse(state, keep):
+        raise AssertionError(f"dense reduction of {keep} built")
+    monkeypatch.setattr(kuniform.states, "reduce", refuse)
+    report = uniformity(state_from_oa(bush_oa(5, 3)), 3)
+    assert report.certified
+    assert len(report.subsets) == comb(6, 3)
+
+
+def test_max_uniformity_of_bush_8_3():
+    # k = 4 would need 126 dense 4096 x 4096 reductions
+    assert max_uniformity(state_from_oa(bush_oa(8, 3))) == 3
+
+
+def test_large_dimension_failure_has_no_eigenvalues():
+    # a dense 36**3-dimensional reduction would take 34.8 GB
+    ghz = PureState(4, 36, (("0000", 1.0), ("zzzz", 1.0)))
+    report = uniformity(ghz, 3)
+    assert not report.certified
+    for sub in report.subsets:
+        assert not sub.maximally_mixed and sub.eigenvalues is None
+        assert sub.deviation == pytest.approx(0.5 - 36.0 ** -3, abs=1e-15)
+
+
+def test_report_fields_are_python_scalars(fixtures_dir):
+    report = uniformity(load_ket(fixtures_dir, "signfix_n5_input"), 2)
+    assert type(report.certified) is bool
+    for sub in report.subsets:
+        assert type(sub.maximally_mixed) is bool
+        assert type(sub.deviation) is float
+        if sub.eigenvalues is not None:
+            assert all(type(v) is float for v in sub.eigenvalues)
