@@ -50,22 +50,30 @@ from .serialize import parse_ket, parse_oa_file, write_ket, write_oa_file
 from .states import _DIGIT_VALUE, UniformityReport, uniformity
 
 
+def _echo(message: str, nl: bool = True, err: bool = False) -> None:
+    """click.echo to the current sys.stdout or sys.stderr, named explicitly:
+    click caches its default stream per stream object and the cache keeps
+    each stream alive, so every in-process invocation (click's CliRunner)
+    would otherwise keep its captured output for good."""
+    click.echo(message, nl=nl, file=sys.stderr if err else sys.stdout)
+
+
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (NotAnOAAtStrength, ParameterMismatch) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(2)
         except OddContributions as exc:
-            click.echo(f"infeasible: {exc}", err=True)
+            _echo(f"infeasible: {exc}", err=True)
             sys.exit(3)
         except (Unsupported, UnsupportedMultiplicity) as exc:
-            click.echo(f"unsupported: {exc}", err=True)
+            _echo(f"unsupported: {exc}", err=True)
             sys.exit(4)
         except KuniformError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(1)
     return wrapper
 
@@ -75,7 +83,7 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        click.echo(f"error: cannot read {path}: {exc}", err=True)
+        _echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(1)
 
 
@@ -83,15 +91,15 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(f) for f in text.split(",") if f.strip() != ""]
     except ValueError:
-        click.echo(f"error: {what} must be a comma-separated integer list, "
-                   f"got {text!r}", err=True)
+        _echo(f"error: {what} must be a comma-separated integer list, "
+              f"got {text!r}", err=True)
         sys.exit(1)
 
 
 def _one_based_columns(text: str, what: str) -> list[int]:
     cols = _parse_int_list(text, what)
     if any(c < 1 for c in cols):
-        click.echo(f"error: {what} uses 1-based column numbers", err=True)
+        _echo(f"error: {what} uses 1-based column numbers", err=True)
         sys.exit(1)
     return [c - 1 for c in cols]
 
@@ -122,7 +130,7 @@ def oa_verify(file: str, strength: Optional[int]) -> None:
     if strength is not None:
         if not 0 <= strength <= array.factors or \
                 not verify_strength(array, strength):
-            click.echo(f"error: rows do not have strength {strength}", err=True)
+            _echo(f"error: rows do not have strength {strength}", err=True)
             sys.exit(2)
         s = strength
     else:
@@ -134,7 +142,7 @@ def oa_verify(file: str, strength: Optional[int]) -> None:
         "irredundant_at": [k for k in range(1, s + 1)
                            if is_irredundant(array, k).ok],
     }
-    click.echo(jsonlib.dumps(result))
+    _echo(jsonlib.dumps(result))
 
 
 @oa.command("transform")
@@ -156,8 +164,8 @@ def oa_transform(file: str, remove_cols: Optional[str],
     chosen = [x for x in (remove_cols, derive_symbol, permute_spec)
               if x is not None]
     if len(chosen) != 1:
-        click.echo("error: give exactly one of --remove-cols, --derive, "
-                   "--permute-levels", err=True)
+        _echo("error: give exactly one of --remove-cols, --derive, "
+              "--permute-levels", err=True)
         sys.exit(1)
     array = parse_oa_file(_read(file))
     if remove_cols is not None:
@@ -170,11 +178,11 @@ def oa_transform(file: str, remove_cols: Optional[str],
         for piece in permute_spec.split(","):
             piece = piece.strip()
             if any(c not in _DIGIT_VALUE for c in piece):
-                click.echo(f"error: bad level map {piece!r}", err=True)
+                _echo(f"error: bad level map {piece!r}", err=True)
                 sys.exit(1)
             perms.append([_DIGIT_VALUE[c] for c in piece])
         result = permute_levels(array, perms)
-    click.echo(write_oa_file(result), nl=False)
+    _echo(write_oa_file(result), nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +201,7 @@ def construct_hadamard(order: int) -> None:
     """Print a normalized Hadamard matrix as rows of +/- characters."""
     h = hadamard(order)
     for row in h.entries:
-        click.echo("".join("+" if v == 1 else "-" for v in row))
+        _echo("".join("+" if v == 1 else "-" for v in row))
 
 
 @construct.command("bush")
@@ -202,7 +210,7 @@ def construct_hadamard(order: int) -> None:
 @_guarded
 def construct_bush(d: int, k: int) -> None:
     """Index-unity OA(d**k, d+1, d, k) catalog."""
-    click.echo(write_oa_file(bush_oa(d, k)), nl=False)
+    _echo(write_oa_file(bush_oa(d, k)), nl=False)
 
 
 @construct.command("rao")
@@ -211,7 +219,7 @@ def construct_bush(d: int, k: int) -> None:
 @_guarded
 def construct_rao(d: int, n: int) -> None:
     """Strength-2 OA(d**n, (d**n-1)/(d-1), d, 2) catalog."""
-    click.echo(write_oa_file(rao_oa(d, n)), nl=False)
+    _echo(write_oa_file(rao_oa(d, n)), nl=False)
 
 
 @construct.command("bush-ext")
@@ -219,7 +227,7 @@ def construct_rao(d: int, n: int) -> None:
 @_guarded
 def construct_bush_ext(d: int) -> None:
     """Index-unity OA(d**3, d+2, d, 3) catalog (d a power of two)."""
-    click.echo(write_oa_file(bush_extended_oa(d)), nl=False)
+    _echo(write_oa_file(bush_extended_oa(d)), nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +252,10 @@ def state_from_oa_cmd(file: str, signs: Optional[str]) -> None:
     phases = None
     if signs is not None:
         if set(signs) - {"0", "1"}:
-            click.echo("error: --signs must be a 0/1 string", err=True)
+            _echo("error: --signs must be a 0/1 string", err=True)
             sys.exit(1)
         phases = [(-1.0) ** int(b) for b in signs]
-    click.echo(write_ket(build(array, phases)), nl=False)
+    _echo(write_ket(build(array, phases)), nl=False)
 
 
 def _report_to_dict(report: UniformityReport) -> dict:
@@ -283,21 +291,21 @@ def state_check(ket_file: str, k: int, tol: float, as_json: bool) -> None:
     psi = parse_ket(_read(ket_file))
     report = uniformity(psi, k, tol)
     if as_json:
-        click.echo(jsonlib.dumps(_report_to_dict(report), indent=2))
+        _echo(jsonlib.dumps(_report_to_dict(report), indent=2))
     else:
         worst = max(s.deviation for s in report.subsets)
         verdict = "certified" if report.certified else "NOT certified"
-        click.echo(f"{verdict}: k={k}, qudits={report.qudits}, "
-                   f"levels={report.levels}, tolerance={tol}, "
-                   f"max deviation {worst:.3e}")
-        click.echo(f"note: {report.note}")
+        _echo(f"{verdict}: k={k}, qudits={report.qudits}, "
+              f"levels={report.levels}, tolerance={tol}, "
+              f"max deviation {worst:.3e}")
+        _echo(f"note: {report.note}")
         for s in report.subsets:
             if not s.maximally_mixed:
                 eig = ("" if s.eigenvalues is None else
                        " eigenvalues " + ", ".join(f"{v:.6f}"
                                                    for v in s.eigenvalues))
-                click.echo(f"failed subset {list(s.kept_labels)}: "
-                           f"deviation {s.deviation:.3e}{eig}")
+                _echo(f"failed subset {list(s.kept_labels)}: "
+                      f"deviation {s.deviation:.3e}{eig}")
     sys.exit(0 if report.certified else 2)
 
 
@@ -306,7 +314,7 @@ def state_check(ket_file: str, k: int, tol: float, as_json: bool) -> None:
 @_guarded
 def state_two_uniform(n: int) -> None:
     """Print a 2-uniform n-party state built from a Hadamard matrix."""
-    click.echo(write_ket(hadamard_two_uniform_state(n)), nl=False)
+    _echo(write_ket(hadamard_two_uniform_state(n)), nl=False)
 
 
 @state.command("fix-signs")
@@ -319,12 +327,12 @@ def state_fix_signs(oa_file: str, k: int) -> None:
     try:
         result = fix_state(array, k)
     except (Unsupported, UnsupportedMultiplicity):
-        click.echo("unsupported")
+        _echo("unsupported")
         sys.exit(4)
     if result is Infeasible:
-        click.echo("infeasible")
+        _echo("infeasible")
         sys.exit(3)
-    click.echo(write_ket(result), nl=False)
+    _echo(write_ket(result), nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +354,11 @@ def graph() -> None:
 def graph_export(ket_file: str, keep: str, as_dot: bool, as_json: bool) -> None:
     """Print the partition graph in DOT or JSON form."""
     if as_dot == as_json:
-        click.echo("error: give exactly one of --dot, --json", err=True)
+        _echo("error: give exactly one of --dot, --json", err=True)
         sys.exit(1)
     psi = parse_ket(_read(ket_file))
     g = graph_from_state(psi, _one_based_columns(keep, "--keep"))
-    click.echo(to_dot(g) if as_dot else to_json(g), nl=False)
+    _echo(to_dot(g) if as_dot else to_json(g), nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +377,7 @@ def bounds() -> None:
 @_guarded
 def bounds_rao(n: int, d: int, k: int) -> None:
     """Minimal run count for an array with these parameters."""
-    click.echo(str(rao_min_runs(n, d, k)))
+    _echo(str(rao_min_runs(n, d, k)))
 
 
 @bounds.command("gv")
@@ -378,7 +386,7 @@ def bounds_rao(n: int, d: int, k: int) -> None:
 @_guarded
 def bounds_gv(n: int, k: int) -> None:
     """Existence condition for two-level systems: prints true/false."""
-    click.echo("true" if gv_holds(n, k) else "false")
+    _echo("true" if gv_holds(n, k) else "false")
 
 
 @bounds.command("singleton")
@@ -386,7 +394,7 @@ def bounds_gv(n: int, k: int) -> None:
 @_guarded
 def bounds_singleton(n: int) -> None:
     """Largest admissible uniformity floor(n/2)."""
-    click.echo(str(singleton_max_k(n)))
+    _echo(str(singleton_max_k(n)))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -102,6 +102,10 @@ class Unsupported(KuniformError):
     """The request falls outside the implemented scope."""
 
 
+class TooLarge(KuniformError):
+    """The request would allocate more memory than the library allows."""
+
+
 class PostconditionFailed(KuniformError):
     """A result failed the library's own check of it: a library defect,
     not a bad input."""

@@ -14,6 +14,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence, Tuple
 
+import numpy as np
+
 from .errors import DivisionByZero, FieldMismatch, NotPrimePower, ParameterViolation
 
 MAX_ORDER = 1 << 16
@@ -89,18 +91,23 @@ def _smallest_irreducible(p: int, m: int) -> Tuple[int, ...]:
 class FiniteField:
     """GF(p^m) with integer-encoded elements.  Use :func:`field_new`."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_mul_table")
+    __slots__ = ("p", "m", "q", "modulus", "_add_table", "_neg_table",
+                 "_mul_table")
 
     def __init__(self, p: int, m: int, modulus: Tuple[int, ...]) -> None:
         self.p = p
         self.m = m
         self.q = p ** m
         self.modulus = modulus  # low-degree-first, length m+1, monic
-        self._mul_table = None
+        self._add_table = self._neg_table = self._mul_table = None
         if self.q <= _EAGER_TABLE_MAX:
-            self._mul_table = [
-                [self._mul_raw(a, b) for b in range(self.q)] for a in range(self.q)
-            ]
+            codes = range(self.q)
+            # addition and negation act digit by digit, modulo p
+            digits = np.array([self._digits(a) for a in codes], dtype=np.int64)
+            weights = p ** np.arange(m, dtype=np.int64)
+            self._add_table = (((digits[:, None] + digits) % p) @ weights).tolist()
+            self._neg_table = ((-digits % p) @ weights).tolist()
+            self._mul_table = [[self._mul_raw(a, b) for b in codes] for a in codes]
 
     # -- integer-code arithmetic --------------------------------------------
 
@@ -117,16 +124,26 @@ class FiniteField:
             code = code * self.p + d
         return code
 
-    def add_codes(self, a: int, b: int) -> int:
+    def _add_raw(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
         da, db = self._digits(a), self._digits(b)
         return self._code([(x + y) % self.p for x, y in zip(da, db)])
 
-    def neg_code(self, a: int) -> int:
+    def _neg_raw(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
         return self._code([(-x) % self.p for x in self._digits(a)])
+
+    def add_codes(self, a: int, b: int) -> int:
+        if self._add_table is not None:
+            return self._add_table[a][b]
+        return self._add_raw(a, b)
+
+    def neg_code(self, a: int) -> int:
+        if self._neg_table is not None:
+            return self._neg_table[a]
+        return self._neg_raw(a)
 
     def _mul_raw(self, a: int, b: int) -> int:
         if self.m == 1:

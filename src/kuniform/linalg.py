@@ -1,60 +1,24 @@
-"""Self-contained Hermitian eigensolver (cyclic complex Jacobi rotations).
+"""Hermitian eigenvalues for failure summaries and reduction ranks.
 
 Used for the eigenvalue summaries attached to failed uniformity checks and
-for reduction ranks.  Matrices in this package are tiny (dimension <= 64),
-where cyclic Jacobi is simple, numerically robust, and dependency-free.
+for reduction ranks; the work is numpy's LAPACK-backed `eigvalsh`.
 """
 
 from __future__ import annotations
-
-import cmath
-import math
 
 import numpy as np
 
 from .errors import ParameterViolation, ShapeMismatch
 
-_PIVOT_EPS = 1e-300
 
-
-def jacobi_eigvalsh(matrix, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues (ascending) of a Hermitian matrix.
-
-    A cyclic sweep applies a complex plane rotation to every off-diagonal
-    pivot; sweeps repeat until the off-diagonal Frobenius norm is <= tol.
-    """
+def jacobi_eigvalsh(matrix) -> np.ndarray:
+    """Eigenvalues (ascending) of a Hermitian matrix."""
     a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
     if np.max(np.abs(a - a.conj().T)) > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
         raise ParameterViolation("matrix is not Hermitian")
-    if n == 1:
-        return np.array([a[0, 0].real])
-
-    for _ in range(max_sweeps):
-        off_part = a - np.diag(np.diagonal(a))
-        off = float(np.linalg.norm(off_part))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= _PIVOT_EPS:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # Factor out the pivot's phase so the 2x2 block becomes real
-                # symmetric, then apply the classical real rotation.
-                phi = cmath.phase(apq)
-                theta = 0.5 * math.atan2(2.0 * abs(apq), app - aqq)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                e = cmath.exp(-1j * phi)
-                u = np.array([[c, -s], [s * e, c * e]], dtype=complex)
-                a[:, [p, q]] = a[:, [p, q]] @ u
-                a[[p, q], :] = u.conj().T @ a[[p, q], :]
-    return np.sort(np.real(np.diagonal(a)))
+    return np.linalg.eigvalsh(a)
 
 
 def rank_by_eigenvalues(matrix, tol: float = 1e-9) -> int:

@@ -3,14 +3,23 @@
 An OA(r, N, d, k) is an r x N grid over symbols 0..d-1 in which every r x k
 column subarray contains each k-tuple exactly lambda = r/d**k times.  The
 array type is immutable; transformation functions return new arrays.
+
+The private kernels below serve every scan over the C(N, k) column
+subsets, here and in `states` and `phases`.  The
+subsets are taken a block at a time (about 2**15 subset x row cells), and
+each block's kept-word codes are one integer array sorted once along the
+rows: its run lengths are the word counts (strength).  Row pairs that
+differ on at most k columns are found once, without an r x r scan
+(irredundancy, and the off-diagonal reduction cells).  No array has d**k
+entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,7 +106,14 @@ class OrthogonalArray:
 # ---------------------------------------------------------------------------
 
 def verify_strength(array: OrthogonalArray, k: int) -> bool:
-    """True iff every k-column projection contains each k-tuple r/d**k times."""
+    """True iff every k-column projection contains each k-tuple r/d**k times.
+
+    A block of column subsets at a time, each subset's kept-word codes
+    (`_kept_codes`) are sorted; strength k holds iff every sorted row is
+    r/d**k copies of 0..d**k - 1.  The check stops at the first block with
+    a failing subset.  d**k <= r whenever codes are formed, so they cannot
+    overflow for any level count.
+    """
     n = array.factors
     if not 0 <= k <= n:
         raise ParameterViolation(f"strength {k} outside 0..{n}")
@@ -106,13 +122,12 @@ def verify_strength(array: OrthogonalArray, k: int) -> bool:
     r, d = array.runs, array.levels
     if r % d ** k != 0:
         return False
-    lam = r // d ** k
-    grid = np.asarray(array.rows, dtype=np.int64)
-    weights = d ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for cols in combinations(range(n), k):
-        codes = grid[:, cols] @ weights
-        counts = np.bincount(codes, minlength=d ** k)
-        if counts.min() != lam or counts.max() != lam:
+    grid = _array_grid(array)
+    every = np.repeat(np.arange(d ** k), r // d ** k)
+    for subsets in _subset_blocks(n, k, r):
+        codes = _kept_codes(grid, d, subsets)
+        codes.sort(axis=1)
+        if (codes != every).any():
             return False
     return True
 
@@ -149,27 +164,50 @@ class IrredundancyResult:
 def is_irredundant(array: OrthogonalArray, k: int) -> IrredundancyResult:
     """True iff removing any k columns leaves the rows pairwise distinct.
 
-    On failure, the witness carries the lexicographically smallest offending
-    removed-column set and the first duplicated row pair (i < j) under it:
-    j is the first row that repeats an earlier one, and i that earlier row.
+    Two rows collide with k columns removed iff they differ on at most k
+    columns, so the array is irredundant at k iff `_close_pairs` finds no
+    pair.  On failure, the witness carries the lexicographically smallest
+    offending removed-column set and the first duplicated row pair (i < j)
+    under it: j is the first row that repeats an earlier one, and i that
+    earlier row.
     """
     n = array.factors
     if not 0 <= k <= n:
         raise ParameterViolation(f"k {k} outside 0..{n}")
-    levels_type = np.min_scalar_type(array.levels - 1)
-    grid = np.asarray(array.rows, dtype=levels_type)
-    for removed in combinations(range(n), k):
-        keep = [j for j in range(n) if j not in removed]
-        order, bounds = _group_rows(grid, keep)
-        starts = bounds[:-1][bounds[1:] - bounds[:-1] > 1]
-        if starts.size:
-            # rows keep their index order inside a group, so each group's
-            # second row is its first repeat
-            first = starts[np.argmin(order[starts + 1])]
-            pair = (int(order[first]), int(order[first + 1]))
-            return IrredundancyResult(False,
-                                      IrredundancyWitness(removed, pair))
-    return IrredundancyResult(True)
+    grid = _array_grid(array)
+    u, v = _close_pairs(grid, k)
+    if not len(u):
+        return IrredundancyResult(True)
+    # the smallest removed set holding a pair's differing columns adds the
+    # smallest other columns; among sets of one size, the smallest is the
+    # one whose indicator row is largest read from column 0
+    differ = grid[u] != grid[v]
+    spare = k - differ.sum(axis=1)
+    removed = differ | (~differ & (np.cumsum(~differ, axis=1)
+                                   <= spare[:, None]))
+    smallest = removed[np.lexsort(removed.T[::-1])[-1]]
+    removed_cols = tuple(int(c) for c in np.flatnonzero(smallest))
+    order, bounds = _group_rows(grid, np.flatnonzero(~smallest))
+    starts = bounds[:-1][bounds[1:] - bounds[:-1] > 1]
+    # rows keep their index order inside a group, so each group's second
+    # row is its first repeat
+    first = starts[np.argmin(order[starts + 1])]
+    pair = (int(order[first]), int(order[first + 1]))
+    return IrredundancyResult(False, IrredundancyWitness(removed_cols, pair))
+
+
+# ---------------------------------------------------------------------------
+# kernels: row grouping, kept-word codes per block of subsets, close pairs
+# ---------------------------------------------------------------------------
+
+#: Cells (subsets x rows) of one block of kept-word codes; C(N, k) subsets
+#: are certified one block at a time.
+_BLOCK_CELLS = 1 << 15
+
+
+def _array_grid(array: OrthogonalArray) -> np.ndarray:
+    """The array's rows as an r x N grid of the smallest unsigned type."""
+    return np.asarray(array.rows, dtype=np.min_scalar_type(array.levels - 1))
 
 
 def _group_rows(grid: np.ndarray,
@@ -194,6 +232,150 @@ def _group_rows(grid: np.ndarray,
     ordered = keys[order]
     starts = (ordered[1:] != ordered[:-1]).any(axis=1).nonzero()[0] + 1
     return order, np.concatenate(([0], starts, [r]))
+
+
+def _pairs(order: np.ndarray,
+           bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row pair (u, v) that shares a group of `_group_rows`, u listed
+    before v in the group (so u < v); there are sum(g * (g - 1) / 2)."""
+    if len(bounds) == len(order) + 1:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty
+    # the row at sorted position p pairs with the rest of its group after p
+    later = (np.repeat(bounds[1:], bounds[1:] - bounds[:-1])
+             - np.arange(len(order)) - 1)
+    first = np.repeat(np.arange(len(order)), later)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    return order[first], order[first + 1 + offset]
+
+
+def _subset_blocks(n: int, k: int, r: int) -> Iterator[np.ndarray]:
+    """The k-subsets of range(n) in lexicographic order, as (b, k) index
+    arrays of about _BLOCK_CELLS / r subsets each; C(n, k) is never
+    listed whole."""
+    size = max(1, _BLOCK_CELLS // r)
+    subsets = combinations(range(n), k)
+    while block := list(islice(subsets, size)):
+        yield np.array(block, dtype=np.intp).reshape(len(block), k)
+
+
+def _kept_codes(grid: np.ndarray, d: int, subsets: np.ndarray) -> np.ndarray:
+    """(b, r) codes of each row's kept word under each subset of a block.
+
+    Codes are the base-d value of the kept word, so they order as the words
+    do.  They are int32 when d**k < 2**31 and int64 otherwise; before a
+    fold could overflow int64, each subset's codes are replaced by their
+    dense ranks (< r), which keeps the order and the equalities.
+    """
+    b, k = subsets.shape
+    dtype = np.int32 if d ** k < 2 ** 31 else np.int64
+    limit = np.iinfo(dtype).max
+    codes = np.zeros((b, grid.shape[0]), dtype=dtype)
+    top = 1  # codes are < top
+    for j in range(k):
+        if top * d > limit:
+            order = np.argsort(codes, axis=1)
+            ordered = np.take_along_axis(codes, order, axis=1)
+            ranks = np.zeros_like(codes)
+            ranks[:, 1:] = np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1)
+            np.put_along_axis(codes, order, ranks, axis=1)
+            top = grid.shape[0]
+        codes *= d
+        codes += grid[:, subsets[:, j]].T
+        top *= d
+    return codes
+
+
+def _word_counts(codes: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(distinct, least, most): per row of `codes`, the number of distinct
+    codes and the smallest and largest number of times one occurs.  Sorts
+    `codes` in place along the rows, then reads the run lengths of the rows
+    that repeat a code (the others have least = most = 1)."""
+    b, r = codes.shape
+    codes.sort(axis=1)
+    starts = np.ones((b, r), dtype=bool)
+    starts[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    distinct = starts.sum(axis=1)
+    least, most = np.ones(b, dtype=np.intp), np.ones(b, dtype=np.intp)
+    repeats = distinct < r
+    if repeats.any():
+        rows = starts[repeats]
+        where = np.flatnonzero(rows)
+        lengths = np.diff(where, append=rows.size)
+        first = np.cumsum(distinct[repeats]) - distinct[repeats]
+        least[repeats] = np.minimum.reduceat(lengths, first)
+        most[repeats] = np.maximum.reduceat(lengths, first)
+    return distinct, least, most
+
+
+def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row pair (u < v) that differs on at most k columns, ordered by
+    (u, v).
+
+    Split the columns into k + 1 disjoint blocks; two rows that differ on at
+    most k columns agree on all of one block, so they share a `_group_rows`
+    group of it.  Candidates from all blocks are deduplicated and filtered
+    by distance: O(r log r + candidates) time and memory, never r x r.
+    """
+    r, n = grid.shape
+    found = [_pairs(*_group_rows(grid, cols))
+             for cols in np.array_split(np.arange(n), k + 1)]
+    key = np.sort(np.concatenate([u.astype(np.int64) * r + v
+                                  for u, v in found]))
+    u, v = np.divmod(key[np.diff(key, prepend=-1) != 0], r)
+    near = (grid[u] != grid[v]).sum(axis=1) <= k
+    return u[near], v[near]
+
+
+def _subset_cells(grid: np.ndarray, d: int, k: int
+                  ) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Blocks of k-subsets with the off-diagonal cells of their reductions.
+
+    A reduction's cell (a, a') with a != a' is fed by the row pairs that
+    agree on every dropped column and have kept words a and a': the close
+    pairs (`_close_pairs`) whose differing columns all lie in the subset.
+    Yields, per block of `_subset_blocks`, ``(subsets, codes, sub, u, v,
+    bounds)``: `codes` as from `_kept_codes`; each incidence is a pair
+    (u, v) inside subset ``subsets[sub]``, oriented so that
+    ``codes[sub, u] < codes[sub, v]``; incidences are sorted by (sub, code
+    of u, code of v, u), and cell c is incidences ``bounds[c]:bounds[c +
+    1]``.  Rows ordered as their words (a state's terms are) thus list a
+    cell's pairs in the order of their dropped-column words.
+    """
+    r, n = grid.shape
+    u, v = _close_pairs(grid, k)
+    if len(u):
+        # group the pairs by their set of differing columns (their support)
+        differ = (grid[u] != grid[v]).view(np.uint8)
+        order, owned = _group_rows(differ, range(n))
+        u, v = u[order], v[order]
+        support = np.packbits(differ[order[owned[:-1]]], axis=1)
+    for subsets in _subset_blocks(n, k, r):
+        codes = _kept_codes(grid, d, subsets)
+        if not len(u):  # no off-diagonal cell anywhere
+            none = np.zeros(0, dtype=np.intp)
+            yield subsets, codes, none, none, none, np.zeros(1, dtype=np.intp)
+            continue
+        member = np.zeros((len(subsets), n), dtype=bool)
+        np.put_along_axis(member, subsets, True, axis=1)
+        # a support lies in a subset iff none of its columns is dropped
+        dropped = ~np.packbits(member, axis=1)
+        hit, sub = np.nonzero(~(support[:, None] & dropped).any(axis=2))
+        many = owned[hit + 1] - owned[hit]
+        pair = (np.arange(many.sum())
+                + np.repeat(owned[hit] - (np.cumsum(many) - many), many))
+        sub = np.repeat(sub, many)
+        pu, pv = u[pair], v[pair]
+        cu, cv = codes[sub, pu], codes[sub, pv]
+        swap = cu > cv
+        low, high = np.where(swap, cv, cu), np.where(swap, cu, cv)
+        pu, pv = np.where(swap, pv, pu), np.where(swap, pu, pv)
+        order = np.lexsort((pu, high, low, sub))
+        sub, low, high, pu, pv = (a[order] for a in (sub, low, high, pu, pv))
+        new = np.ones(len(sub), dtype=bool)
+        new[1:] = ((sub[1:] != sub[:-1]) | (low[1:] != low[:-1])
+                   | (high[1:] != high[:-1]))
+        yield subsets, codes, sub, pu, pv, np.append(np.flatnonzero(new), len(sub))
 
 
 # ---------------------------------------------------------------------------

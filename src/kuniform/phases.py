@@ -12,13 +12,14 @@ constraint per two-pair cell gives a linear system over GF(2); solving it
 (when consistent) produces a state whose k-uniformity then certifies.
 Cells fed by an odd number of pairs admit no +/-1 solution at all; cells
 fed by four or more pairs fall outside the linear derivation and are
-handled by bounded exhaustive search.
+handled by bounded exhaustive search.  The cells and their pairs come from
+the block kernels of `oa` (`oa._subset_cells`): the row pairs that differ
+on at most k columns, all kept, grouped per (subset, cell).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Tuple, Union
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import (
     Unsupported,
     UnsupportedMultiplicity,
 )
-from .oa import OrthogonalArray, verify_strength
+from .oa import OrthogonalArray, _array_grid, _subset_cells, verify_strength
 from .states import PureState, _is_k_uniform, digits_to_word, state_from_oa
 
 EXHAUSTIVE_ROW_LIMIT = 21
@@ -102,24 +103,17 @@ class SignSolution:
 
 def _cells(array: OrthogonalArray, k: int):
     """Yield (kept, cell, pairs) for each off-diagonal cell with at least
-    one contributing row pair, in lexicographic (kept, cell) order."""
-    n = array.factors
-    words = [digits_to_word(row) for row in array.rows]
-    for kept in combinations(range(n), k):
-        dropped = [j for j in range(n) if j not in kept]
-        groups: dict = {}
-        for i, w in enumerate(words):
-            bkey = "".join(w[j] for j in dropped)
-            groups.setdefault(bkey, []).append(i)
-        cells: dict = {}
-        for members in groups.values():
-            for i, j in combinations(members, 2):
-                a = "".join(words[i][c] for c in kept)
-                b = "".join(words[j][c] for c in kept)
-                cell = (a, b) if a <= b else (b, a)
-                cells.setdefault(cell, []).append((i, j))
-        for cell in sorted(cells):
-            yield kept, cell, cells[cell]
+    one contributing row pair, in lexicographic (kept, cell) order; the
+    pairs (i < j) of a cell ascend."""
+    grid = _array_grid(array)
+    for subsets, _, sub, u, v, bounds in _subset_cells(grid, array.levels, k):
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            kept = tuple(subsets[sub[start]].tolist())
+            cell = tuple(digits_to_word(grid[row, list(kept)].tolist())
+                         for row in (u[start], v[start]))
+            pairs = sorted((min(i, j), max(i, j)) for i, j in
+                           zip(u[start:stop].tolist(), v[start:stop].tolist()))
+            yield kept, cell, pairs
 
 
 def constraint_system(array: OrthogonalArray, k: int) -> SignConstraintSystem:

@@ -5,21 +5,22 @@ distinct words (normalization by the term count is implicit).  The d**N
 state vector is never materialized: terms are grouped by their values on
 the dropped columns, and only terms in one group meet in a reduction.
 
-`uniformity` certifies k-uniformity without any d**k x d**k matrix.  For
-each kept subset, the diagonal of the reduction is the kept-word counts and
-the off-diagonal cells come only from row pairs that share a dropped-column
-group, so a subset costs two row groupings plus the sum of squared group
-sizes, and memory never depends on d**k.  Dense matrices are built only by
-`reduce` itself, which `uniformity` calls just for the exact eigenvalues of
-a failing subset of dimension <= 64.  `max_uniformity` stops at the first
-failing subset.
+`uniformity` certifies k-uniformity without any d**k x d**k matrix, a
+block of kept subsets at a time (`oa._subset_cells`).  The diagonal of each
+reduction is the kept-word counts, from one sort of the block's kept-word
+codes; the off-diagonal cells come only from the term pairs that differ on
+at most k qudits, all kept, summed per (subset, cell) after one sort of the
+block's pairs.  Memory never depends on d**k.  Dense matrices are built
+only by `reduce` itself (at most DENSE_BYTES_LIMIT bytes), which
+`uniformity` calls just for the exact eigenvalues of a failing subset of
+dimension <= 64.  `max_uniformity` stops after the first block of subsets
+that holds a failing one.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,15 +32,20 @@ from .errors import (
     ParameterViolation,
     PhaseLengthMismatch,
     ShapeMismatch,
+    TooLarge,
 )
 from .linalg import jacobi_eigvalsh, rank_by_eigenvalues
-from .oa import OrthogonalArray, _group_rows
+from .oa import (OrthogonalArray, _group_rows, _kept_codes, _pairs,
+                 _subset_cells, _word_counts)
 
 DIGITS36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUE = {c: i for i, c in enumerate(DIGITS36)}
 
 #: Largest matrix dimension for which failure eigenvalues are computed.
 EIGENVALUE_DIM_LIMIT = 64
+
+#: Largest dense reduction, in bytes, that `reduce` allocates.
+DENSE_BYTES_LIMIT = 1 << 30
 
 #: Default entrywise tolerance for maximal-mixedness checks.
 DEFAULT_TOL = 1e-9
@@ -183,9 +189,11 @@ def reduce(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     kept = _validated_subset(keep, n)
     dropped = [i for i in range(n) if i not in kept]
     dim = d ** len(kept)
+    if 16 * dim * dim > DENSE_BYTES_LIMIT:
+        raise TooLarge(f"a {dim} x {dim} reduction needs {16 * dim * dim} "
+                       f"bytes, over the {DENSE_BYTES_LIMIT}-byte limit")
     grid, phases = _grid(state), np.array(state.phases)
-    codes = grid[:, kept].astype(np.int64) @ (
-        d ** np.arange(len(kept) - 1, -1, -1, dtype=np.int64))
+    codes = _kept_codes(grid, d, np.array([kept]))[0]
 
     data = np.zeros((dim, dim), dtype=complex)
     np.add.at(data, (codes, codes), phases * phases.conj())
@@ -204,33 +212,17 @@ def _grid(state: PureState) -> np.ndarray:
     return grid.astype(np.uint8).reshape(state.term_count, state.qudits)
 
 
-def _pairs(order: np.ndarray,
-           bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every row pair (u, v) that shares a group of `_group_rows`, u listed
-    before v in the group; there are sum(g * (g - 1) / 2) of them."""
-    if len(bounds) == len(order) + 1:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty
-    # the row at sorted position p pairs with the rest of its group after p
-    later = (np.repeat(bounds[1:], bounds[1:] - bounds[:-1])
-             - np.arange(len(order)) - 1)
-    first = np.repeat(np.arange(len(order)), later)
-    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    return order[first], order[first + 1 + offset]
-
-
 def _deviations(state: PureState, k: int,
-                tol: float) -> Iterator[Tuple[Tuple[int, ...], float]]:
-    """(kept, max|rho - I/d**k|) for every k-column subset, in
-    lexicographic order, without forming rho.
+                tol: float) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(subsets, deviations) for blocks of k-column subsets in lexicographic
+    order: max|rho - I/d**k| of each subset, without forming rho.
 
     The distinct words make the terms of one dropped-column group differ on
     the kept columns, so the diagonal of rho is the kept-word counts over r
-    (a kept word no term has counts 0) and the off-diagonal cells are fed
-    only by row pairs inside dropped-column groups of two or more terms.
-    Work per subset is two row groupings plus the sum of squared group
-    sizes; memory never depends on d**k.  Bad k or tol raise
-    ParameterViolation when iteration starts.
+    (a kept word no term has counts 0), taken from one sort per block
+    (`oa._word_counts`).  The off-diagonal cells are fed only by term pairs
+    that differ on at most k columns, all kept (`oa._subset_cells`).  Bad k
+    or tol raise ParameterViolation when iteration starts.
     """
     n, d, r = state.qudits, state.levels, state.term_count
     if not 1 <= k <= n - 1:
@@ -239,27 +231,21 @@ def _deviations(state: PureState, k: int,
         raise ParameterViolation("tol must be positive")
     grid, phases = _grid(state), np.array(state.phases)
     target = 1.0 / d ** k
-    for kept in combinations(range(n), k):
-        kept_order, kept_bounds = _group_rows(grid, kept)
-        counts = kept_bounds[1:] - kept_bounds[:-1]
-        deviation = float(abs(counts / r - target).max())
-        if len(counts) < d ** k:
-            deviation = max(deviation, target)
-        dropped = [i for i in range(n) if i not in kept]
-        u, v = _pairs(*_group_rows(grid, dropped))
-        if len(u):
-            word = np.empty(r, dtype=np.int64)
-            word[kept_order] = np.repeat(np.arange(len(counts)), counts)
-            # orient each pair from the smaller to the larger kept word;
-            # the mirror cell of rho holds the conjugate sum
-            ascending = word[u] < word[v]
-            u, v = np.where(ascending, u, v), np.where(ascending, v, u)
+    words = min(d ** k, r + 1)  # r + 1 stands in for a d**k beyond int64
+    for subsets, codes, sub, u, v, bounds in _subset_cells(grid, d, k):
+        distinct, least, most = _word_counts(codes)
+        deviation = np.maximum(abs(least / r - target), abs(most / r - target))
+        missing = distinct < words  # a kept word no term has: rho's 0 entry
+        deviation[missing] = np.maximum(deviation[missing], target)
+        if len(sub):
+            # each pair is oriented from the smaller to the larger kept
+            # word; the mirror cell of rho holds the conjugate sum
             value = phases[u] * phases[v].conj()
-            _, cell = np.unique(word[u] * r + word[v], return_inverse=True)
+            cell = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
             total = (np.bincount(cell, weights=value.real)
                      + 1j * np.bincount(cell, weights=value.imag))
-            deviation = max(deviation, float(np.max(np.abs(total))) / r)
-        yield kept, deviation
+            np.maximum.at(deviation, sub[bounds[:-1]], np.abs(total) / r)
+        yield subsets, deviation
 
 
 class MixednessResult(NamedTuple):
@@ -304,29 +290,33 @@ def uniformity(state: PureState, k: int,
     mixed.  Each subset is certified sparsely; only a failing subset of
     dimension <= 64 gets a dense reduction, for its exact eigenvalues."""
     reports = []
-    for kept, deviation in _deviations(state, k, tol):
-        ok = deviation <= tol
-        eigenvalues = None
-        if not ok and state.levels ** k <= EIGENVALUE_DIM_LIMIT:
-            rho = reduce(state, kept)
-            eigenvalues = tuple(float(v) for v in jacobi_eigvalsh(rho.data))
-        reports.append(SubsetReport(tuple(c + 1 for c in kept), ok,
-                                    deviation, eigenvalues))
+    for subsets, deviations in _deviations(state, k, tol):
+        for kept, deviation in zip(subsets.tolist(), deviations.tolist()):
+            ok = deviation <= tol
+            eigenvalues = None
+            if not ok and state.levels ** k <= EIGENVALUE_DIM_LIMIT:
+                rho = reduce(state, kept)
+                eigenvalues = tuple(float(v)
+                                    for v in jacobi_eigvalsh(rho.data))
+            reports.append(SubsetReport(tuple(c + 1 for c in kept), ok,
+                                        deviation, eigenvalues))
     certified = all(s.maximally_mixed for s in reports)
     return UniformityReport(state.qudits, state.levels, k, tol, certified,
                             tuple(reports))
 
 
 def _is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> bool:
-    """uniformity(state, k, tol).certified, stopping at the first failing
-    subset."""
-    return all(deviation <= tol for _, deviation in _deviations(state, k, tol))
+    """uniformity(state, k, tol).certified, stopping after the first block
+    of subsets that holds a failing one."""
+    return all(bool((deviations <= tol).all())
+               for _, deviations in _deviations(state, k, tol))
 
 
 def max_uniformity(state: PureState, tol: float = DEFAULT_TOL) -> int:
     """Largest k <= floor(N/2) whose uniformity check certifies (0 if even
-    k = 1 fails); scans upward and stops at the first failing subset, which
-    is sound because k-uniformity implies k'-uniformity for k' < k."""
+    k = 1 fails); scans upward and stops after the first block of subsets
+    that holds a failing one, which is sound because k-uniformity implies
+    k'-uniformity for k' < k."""
     best = 0
     for k in range(1, state.qudits // 2 + 1):
         if not _is_k_uniform(state, k, tol):

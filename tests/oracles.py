@@ -111,6 +111,40 @@ def irredundancy_witness(rows, k):
     return None
 
 
+def close_pairs(rows, k):
+    """Every row pair (i, j), i < j, that differs on at most k columns, by a
+    plain scan of all pairs."""
+    return [(i, j) for i, j in combinations(range(len(rows)), 2)
+            if sum(a != b for a, b in zip(rows[i], rows[j])) <= k]
+
+
+def string_key_cells(rows, k):
+    """(kept, cell, pairs) for each off-diagonal reduction cell fed by at
+    least one row pair, in lexicographic (kept, cell) order.
+
+    Rows are grouped by their dropped-column words as string keys; two rows
+    of one group feed the cell (a, b), a <= b, of their kept words a and b.
+    A cell's pairs (i < j) are listed group by group, groups in order of
+    first appearance.
+    """
+    n = len(rows[0])
+    words = ["".join(DIGITS36[v] for v in row) for row in rows]
+    out = []
+    for kept in combinations(range(n), k):
+        dropped = [j for j in range(n) if j not in kept]
+        groups = {}
+        for i, w in enumerate(words):
+            groups.setdefault("".join(w[j] for j in dropped), []).append(i)
+        cells = {}
+        for members in groups.values():
+            for i, j in combinations(members, 2):
+                a = "".join(words[i][c] for c in kept)
+                b = "".join(words[j][c] for c in kept)
+                cells.setdefault((a, b) if a <= b else (b, a), []).append((i, j))
+        out.extend((kept, cell, cells[cell]) for cell in sorted(cells))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # partial traces
 # ---------------------------------------------------------------------------
@@ -183,6 +217,37 @@ def micro_reduced_density(terms, n, d, kept):
                 ib = ib * d + db[i]
             out[ia, ib] += rho[a, b]
     return out
+
+
+def sparse_deviation(terms, n, d, kept):
+    """max |rho - I/d**k| over the kept columns, from the terms alone.
+
+    rho's diagonal is the kept-word counts over r (a kept word no term has
+    counts 0, and exists when fewer than d**k words occur); an off-diagonal
+    cell (a, b) sums phase_i * conj(phase_j) over term pairs whose words
+    agree off the kept columns and read a and b on them.  Works for any d**k,
+    since only words that occur are keyed.
+    """
+    kept = tuple(sorted(kept))
+    dropped = [i for i in range(n) if i not in kept]
+    r = len(terms)
+    target = 1.0 / d ** len(kept)
+    counts = {}
+    for word, _ in terms:
+        key = tuple(word[c] for c in kept)
+        counts[key] = counts.get(key, 0) + 1
+    worst = max(abs(c / r - target) for c in counts.values())
+    if len(counts) < d ** len(kept):
+        worst = max(worst, target)
+    cells = {}
+    for (wi, pi), (wj, pj) in combinations(terms, 2):
+        if all(wi[c] == wj[c] for c in dropped):
+            a = tuple(wi[c] for c in kept)
+            b = tuple(wj[c] for c in kept)
+            value = pi * np.conj(pj) if a < b else pj * np.conj(pi)
+            cell = min(a, b), max(a, b)
+            cells[cell] = cells.get(cell, 0) + value
+    return max([worst] + [abs(v) / r for v in cells.values()])
 
 
 def eigvalsh(matrix):

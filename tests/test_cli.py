@@ -1,5 +1,7 @@
 """End-to-end command-line checks via click's test runner."""
 
+import gc
+import io
 import itertools
 import json
 
@@ -286,3 +288,20 @@ def test_version_flag(runner):
     result = invoke(runner, "--version")
     assert result.exit_code == 0
     assert "kuniform" in result.output
+
+
+def test_in_process_invocations_release_their_streams(runner, fixtures_dir):
+    # each invocation captures stdout and stderr in fresh text streams; none
+    # may outlive it
+    def live_streams():
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+    path = str(fixtures_dir / "signfix_n5_input.ket")
+    invoke(runner, "state", "check", path, "--k", "2")
+    before = live_streams()
+    for _ in range(20):
+        assert invoke(runner, "state", "check", path, "--k", "2").exit_code == 2
+        assert invoke(runner, "bounds", "rao", "--n", "0", "--d", "2",
+                      "--k", "2").exit_code == 1
+    assert live_streams() - before < 5

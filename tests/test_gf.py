@@ -38,6 +38,18 @@ def test_field_identity_is_cached():
     assert field_new(9) is field_new(9)
 
 
+def test_eager_tables_equal_digit_arithmetic():
+    primes = [p for p in range(2, 65) if all(p % t for t in range(2, p))]
+    orders = [q for q in range(2, 65) if sum(q % p == 0 for p in primes) == 1]
+    assert len(orders) == 27
+    for q in orders:
+        f = field_new(q)
+        for a in range(q):
+            assert f.neg_code(a) == f._neg_raw(a)
+            assert [f.add_codes(a, b) for b in range(q)] == [
+                f._add_raw(a, b) for b in range(q)]
+
+
 def test_elements_enumerate_codes_in_order():
     for q in SMALL_ORDERS:
         assert [e.value for e in elements(field_new(q))] == list(range(q))

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import time
 from math import comb
 
 import numpy as np
@@ -14,12 +15,14 @@ from kuniform import (
     BadSubset,
     DensityMatrix,
     DuplicateRows,
+    KuniformError,
     LengthMismatch,
     OrthogonalArray,
     ParameterViolation,
     PhaseLengthMismatch,
     PureState,
     ShapeMismatch,
+    TooLarge,
     bush_oa,
     digits_to_word,
     is_maximally_mixed,
@@ -425,6 +428,17 @@ def test_large_dimension_failure_has_no_eigenvalues():
     for sub in report.subsets:
         assert not sub.maximally_mixed and sub.eigenvalues is None
         assert sub.deviation == pytest.approx(0.5 - 36.0 ** -3, abs=1e-15)
+
+
+def test_reduce_refuses_an_oversized_matrix_before_allocating():
+    # 36**3 x 36**3 complex entries would take 34.8 GB
+    ghz = PureState(4, 36, (("0000", 1.0), ("zzzz", 1.0)))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as info:
+        reduce(ghz, [0, 1, 2])
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(info.value, KuniformError)
+    assert not isinstance(info.value, MemoryError)
 
 
 def test_report_fields_are_python_scalars(fixtures_dir):
