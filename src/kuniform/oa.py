@@ -309,22 +309,24 @@ def _word_counts(codes: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 
 def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Every row pair (u < v) that differs on at most k columns, ordered by
-    (u, v).
+    """Every row pair (u < v) that differs on at most k columns, once each.
 
     Split the columns into k + 1 disjoint blocks; two rows that differ on at
     most k columns agree on all of one block, so they share a `_group_rows`
-    group of it.  Candidates from all blocks are deduplicated and filtered
-    by distance: O(r log r + candidates) time and memory, never r x r.
+    group of it.  Each block's candidates are filtered by distance and kept
+    only if the block is the first one they agree on, so no pair is found
+    twice: O(r log r + candidates) time, never r x r.
     """
-    r, n = grid.shape
-    found = [_pairs(*_group_rows(grid, cols))
-             for cols in np.array_split(np.arange(n), k + 1)]
-    key = np.sort(np.concatenate([u.astype(np.int64) * r + v
-                                  for u, v in found]))
-    u, v = np.divmod(key[np.diff(key, prepend=-1) != 0], r)
-    near = (grid[u] != grid[v]).sum(axis=1) <= k
-    return u[near], v[near]
+    blocks = np.array_split(np.arange(grid.shape[1]), k + 1)
+    found = []
+    for b, cols in enumerate(blocks):
+        u, v = _pairs(*_group_rows(grid, cols))
+        differ = grid[u] != grid[v]
+        near = differ.sum(axis=1) <= k
+        for earlier in blocks[:b]:
+            near &= differ[:, earlier].any(axis=1)
+        found.append((u[near], v[near]))
+    return tuple(np.concatenate(side) for side in zip(*found))
 
 
 def _subset_cells(grid: np.ndarray, d: int, k: int
@@ -346,10 +348,10 @@ def _subset_cells(grid: np.ndarray, d: int, k: int
     u, v = _close_pairs(grid, k)
     if len(u):
         # group the pairs by their set of differing columns (their support)
-        differ = (grid[u] != grid[v]).view(np.uint8)
-        order, owned = _group_rows(differ, range(n))
+        differ = np.packbits(grid[u] != grid[v], axis=1)
+        order, owned = _group_rows(differ, range(differ.shape[1]))
         u, v = u[order], v[order]
-        support = np.packbits(differ[order[owned[:-1]]], axis=1)
+        support = differ[order[owned[:-1]]]
     for subsets in _subset_blocks(n, k, r):
         codes = _kept_codes(grid, d, subsets)
         if not len(u):  # no off-diagonal cell anywhere

@@ -140,7 +140,7 @@ def test_close_pairs_match_a_plain_pair_scan(array, data):
     k = data.draw(st.integers(0, array.factors))
     grid = np.asarray(array.rows, dtype=np.uint8)
     u, v = _close_pairs(grid, k)
-    assert list(zip(u.tolist(), v.tolist())) == close_pairs(array.rows, k)
+    assert sorted(zip(u.tolist(), v.tolist())) == close_pairs(array.rows, k)
 
 
 @st.composite
