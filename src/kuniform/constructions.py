@@ -38,15 +38,18 @@ class HadamardMatrix:
 
     def __post_init__(self) -> None:
         k = self.order
-        grid = tuple(tuple(int(v) for v in row) for row in self.entries)
-        object.__setattr__(self, "entries", grid)
-        if len(grid) != k or any(len(row) != k for row in grid):
+        try:
+            m = np.asarray(self.entries)
+        except ValueError:
+            raise ParameterViolation(f"entries are not {k}x{k}") from None
+        if m.shape != (k, k):
             raise ParameterViolation(f"entries are not {k}x{k}")
-        if any(v not in (1, -1) for row in grid for v in row):
+        if not ((m == 1) | (m == -1)).all():
             raise ParameterViolation("entries must be +1 or -1")
-        m = np.asarray(grid, dtype=np.int64)
+        m = m.astype(np.int64)
         if not np.array_equal(m @ m.T, k * np.eye(k, dtype=np.int64)):
             raise ParameterViolation("H @ H.T != order * I")
+        object.__setattr__(self, "entries", tuple(map(tuple, m.tolist())))
 
     @property
     def is_normalized(self) -> bool:
@@ -65,7 +68,7 @@ def sylvester(m: int) -> HadamardMatrix:
     cur = np.array([[1]], dtype=np.int64)
     for _ in range(m):
         cur = np.kron(h2, cur)
-    return HadamardMatrix(2 ** m, tuple(map(tuple, cur.tolist())))
+    return HadamardMatrix(2 ** m, cur)
 
 
 def _is_prime(n: int) -> bool:
@@ -84,40 +87,30 @@ def paley_type1(q: int) -> HadamardMatrix:
     q = 3 mod 4); returned in normalized form."""
     if q > 1000 or not _is_prime(q) or q % 4 != 3:
         raise BadOrder(f"need a prime q = 3 (mod 4), q <= 1000; got {q}")
-    residues = {(x * x) % q for x in range(1, q)}
-
-    def chi(a: int) -> int:
-        a %= q
-        if a == 0:
-            return 0
-        return 1 if a in residues else -1
-
+    # chi(a): 0 at a = 0, +1 on the nonzero squares mod q, -1 elsewhere
+    chi = np.full(q, -1, dtype=np.int64)
+    chi[np.arange(1, q) ** 2 % q] = 1
+    chi[0] = 0
     size = q + 1
     s = np.zeros((size, size), dtype=np.int64)
     s[0, 1:] = 1
     s[1:, 0] = -1
-    for i in range(q):
-        for j in range(q):
-            s[1 + i, 1 + j] = chi(i - j)
+    s[1:, 1:] = chi[np.subtract.outer(np.arange(q), np.arange(q)) % q]
     h = np.eye(size, dtype=np.int64) + s
-    return normalize(HadamardMatrix(size, tuple(map(tuple, h.tolist()))))
+    return normalize(HadamardMatrix(size, h))
 
 
 def kron(h1: HadamardMatrix, h2: HadamardMatrix) -> HadamardMatrix:
     prod = np.kron(h1.as_array(), h2.as_array())
-    return HadamardMatrix(h1.order * h2.order, tuple(map(tuple, prod.tolist())))
+    return HadamardMatrix(h1.order * h2.order, prod)
 
 
 def normalize(h: HadamardMatrix) -> HadamardMatrix:
     """Negate rows with a leading -1, then columns with a leading -1."""
-    m = h.as_array().copy()
-    for i in range(h.order):
-        if m[i, 0] == -1:
-            m[i, :] *= -1
-    for j in range(h.order):
-        if m[0, j] == -1:
-            m[:, j] *= -1
-    return HadamardMatrix(h.order, tuple(map(tuple, m.tolist())))
+    m = h.as_array()
+    m = m * m[:, :1]
+    m = m * m[:1, :]
+    return HadamardMatrix(h.order, m)
 
 
 def hadamard(order: int) -> HadamardMatrix:
@@ -152,13 +145,32 @@ def hadamard_to_oa(h: HadamardMatrix) -> OrthogonalArray:
         raise ParameterViolation(f"order must be >= 4, got {h.order}")
     if not h.is_normalized:
         raise NotNormalized("normalize the matrix first")
-    rows = tuple(tuple(1 if v == 1 else 0 for v in row[1:]) for row in h.entries)
-    return OrthogonalArray(rows, 2, 2)
+    return OrthogonalArray((h.as_array()[:, 1:] == 1).astype(np.uint8), 2, 2)
 
 
 # ---------------------------------------------------------------------------
 # finite-field families
 # ---------------------------------------------------------------------------
+
+def _digits(count: int, d: int, width: int) -> np.ndarray:
+    """(count, width) base-d digits of 0..count-1, least significant first."""
+    return np.arange(count)[:, None] // d ** np.arange(width) % d
+
+
+def _evaluations(d: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(coefficients, values) of the d**k polynomials of degree < k over
+    GF(d): row t of `coefficients` holds c_0..c_{k-1}, the base-d digits of
+    t, and row t of `values` the polynomial c_0 + c_1 x + ... at each field
+    element in encoding order, by Horner's rule on the field's tables."""
+    f = field_new(d)
+    coefficients = _digits(d ** k, d, k)
+    points = np.arange(d)
+    values = np.broadcast_to(coefficients[:, k - 1:], (d ** k, d))
+    for j in range(k - 2, -1, -1):
+        values = f.add_table[f.mul_table[values, points],
+                             coefficients[:, j, None]]
+    return coefficients, values
+
 
 def rao_oa(d: int, n: int) -> OrthogonalArray:
     """OA(d**n, (d**n - 1)/(d - 1), d, 2) for a prime power d.
@@ -173,32 +185,14 @@ def rao_oa(d: int, n: int) -> OrthogonalArray:
     f = field_new(d)  # raises NotPrimePower when d is composite non-power
     if d ** n > MAX_GRID:
         raise ParameterViolation(f"d**n = {d ** n} exceeds {MAX_GRID}")
-
-    def digits(code: int) -> Tuple[int, ...]:
-        out = []
-        for _ in range(n):
-            out.append(code % d)
-            code //= d
-        return tuple(out)
-
-    columns = []
-    for code in range(1, d ** n):
-        vec = digits(code)
-        first = next(v for v in vec if v != 0)
-        if first == 1:
-            columns.append(vec)
-
-    rows = []
-    for code in range(d ** n):
-        x = digits(code)
-        row = []
-        for c in columns:
-            acc = 0
-            for xi, ci in zip(x, c):
-                acc = f.add_codes(acc, f.mul_codes(xi, ci))
-            row.append(acc)
-        rows.append(tuple(row))
-    return OrthogonalArray(tuple(rows), d, 2)
+    vectors = _digits(d ** n, d, n)
+    first = vectors[np.arange(d ** n), (vectors != 0).argmax(axis=1)]
+    columns = vectors[first == 1]
+    cells = np.zeros((d ** n, len(columns)), dtype=f.add_table.dtype)
+    for i in range(n):
+        cells = f.add_table[cells, f.mul_table[vectors[:, i, None],
+                                               columns[:, i]]]
+    return OrthogonalArray(cells, d, 2)
 
 
 def bush_oa(d: int, k: int) -> OrthogonalArray:
@@ -213,27 +207,12 @@ def bush_oa(d: int, k: int) -> OrthogonalArray:
         raise ParameterViolation(f"k must be >= 1, got {k}")
     if d < k - 1:
         raise ParameterViolation(f"need d >= k-1, got d={d}, k={k}")
-    f = field_new(d)
+    field_new(d)  # raises NotPrimePower when d is composite non-power
     if d ** k > MAX_GRID:
         raise ParameterViolation(f"d**k = {d ** k} exceeds {MAX_GRID}")
-
-    rows = []
-    for code in range(d ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % d)
-            c //= d
-        evals = []
-        for e in range(d):
-            acc = 0
-            power = 1
-            for coef in coeffs:
-                acc = f.add_codes(acc, f.mul_codes(coef, power))
-                power = f.mul_codes(power, e)
-            evals.append(acc)
-        rows.append(tuple([coeffs[-1]] + evals))
-    return OrthogonalArray(tuple(rows), d, k)
+    coefficients, values = _evaluations(d, k)
+    return OrthogonalArray(np.column_stack((coefficients[:, k - 1], values)),
+                           d, k)
 
 
 def bush_extended_oa(d: int) -> OrthogonalArray:
@@ -248,19 +227,9 @@ def bush_extended_oa(d: int) -> OrthogonalArray:
         raise NotPowerOfTwo(f"need d = 2**m with m >= 1, got {d}")
     if d ** 3 > MAX_GRID:
         raise ParameterViolation(f"d**3 = {d ** 3} exceeds {MAX_GRID}")
-    f = field_new(d)
-    rows = []
-    for code in range(d ** 3):
-        c = code % d
-        b = (code // d) % d
-        a = code // (d * d)
-        evals = [
-            f.add_codes(
-                f.add_codes(f.mul_codes(a, f.mul_codes(e, e)), f.mul_codes(b, e)), c)
-            for e in range(d)
-        ]
-        rows.append(tuple([a, b] + evals))
-    return OrthogonalArray(tuple(rows), d, 3)
+    coefficients, values = _evaluations(d, 3)
+    return OrthogonalArray(np.column_stack((coefficients[:, 2],
+                                            coefficients[:, 1], values)), d, 3)
 
 
 # ---------------------------------------------------------------------------

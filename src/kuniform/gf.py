@@ -88,26 +88,53 @@ def _smallest_irreducible(p: int, m: int) -> Tuple[int, ...]:
     raise AssertionError("an irreducible polynomial exists for every (p, m)")
 
 
-class FiniteField:
-    """GF(p^m) with integer-encoded elements.  Use :func:`field_new`."""
+def _tables(p: int, m: int,
+            modulus: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
+    """The (add, neg, mul) tables of GF(p**m) as read-only numpy arrays.
 
-    __slots__ = ("p", "m", "q", "modulus", "_add_table", "_neg_table",
-                 "_mul_table")
+    Addition and negation act digit by digit modulo p.  a * b is the sum
+    over i of a_i * x**i * b; multiplying by x shifts the digits up and
+    folds the one that leaves through the monic modulus.
+    """
+    q = p ** m
+    weights = p ** np.arange(m, dtype=np.int32)
+    digits = np.arange(q, dtype=np.int32)[:, None] // weights % p
+    low = np.array(modulus[:m], dtype=np.int32)
+    shifted = [digits]
+    for _ in range(m - 1):
+        prev = shifted[-1]
+        up = np.zeros_like(prev)
+        up[:, 1:] = prev[:, :-1]
+        shifted.append((up - prev[:, -1:] * low) % p)
+    products = np.einsum("ai,ibj->abj", digits, np.stack(shifted)) % p
+    dtype = np.min_scalar_type(q - 1)
+    tables = tuple((codes @ weights).astype(dtype)
+                   for codes in ((digits[:, None] + digits) % p,
+                                 -digits % p, products))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+class FiniteField:
+    """GF(p^m) with integer-encoded elements.  Use :func:`field_new`.
+
+    For q <= 512, `add_table`, `neg_table` and `mul_table` are read-only
+    numpy arrays of element codes; for larger q they are None.
+    """
+
+    __slots__ = ("p", "m", "q", "modulus", "add_table", "neg_table",
+                 "mul_table")
 
     def __init__(self, p: int, m: int, modulus: Tuple[int, ...]) -> None:
         self.p = p
         self.m = m
         self.q = p ** m
         self.modulus = modulus  # low-degree-first, length m+1, monic
-        self._add_table = self._neg_table = self._mul_table = None
+        self.add_table = self.neg_table = self.mul_table = None
         if self.q <= _EAGER_TABLE_MAX:
-            codes = range(self.q)
-            # addition and negation act digit by digit, modulo p
-            digits = np.array([self._digits(a) for a in codes], dtype=np.int64)
-            weights = p ** np.arange(m, dtype=np.int64)
-            self._add_table = (((digits[:, None] + digits) % p) @ weights).tolist()
-            self._neg_table = ((-digits % p) @ weights).tolist()
-            self._mul_table = [[self._mul_raw(a, b) for b in codes] for a in codes]
+            self.add_table, self.neg_table, self.mul_table = _tables(
+                p, m, modulus)
 
     # -- integer-code arithmetic --------------------------------------------
 
@@ -136,13 +163,13 @@ class FiniteField:
         return self._code([(-x) % self.p for x in self._digits(a)])
 
     def add_codes(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
+        if self.add_table is not None:
+            return int(self.add_table[a, b])
         return self._add_raw(a, b)
 
     def neg_code(self, a: int) -> int:
-        if self._neg_table is not None:
-            return self._neg_table[a]
+        if self.neg_table is not None:
+            return int(self.neg_table[a])
         return self._neg_raw(a)
 
     def _mul_raw(self, a: int, b: int) -> int:
@@ -158,8 +185,8 @@ class FiniteField:
         return self._code(list(rem) + [0] * (self.m - len(rem)))
 
     def mul_codes(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
+        if self.mul_table is not None:
+            return int(self.mul_table[a, b])
         return self._mul_raw(a, b)
 
     def pow_code(self, a: int, e: int) -> int:

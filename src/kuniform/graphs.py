@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .errors import ParameterViolation, ParseError, PhasesPresent
 from .oa import OrthogonalArray, is_irredundant, verify_strength
-from .states import DIGITS36, PureState, _validated_subset, word_to_digits
+from .states import DIGITS36, PureState, _grid, _validated_subset
 
 _PHASE_EQ_TOL = 1e-12
 
@@ -102,8 +102,7 @@ def is_k_uniform_by_graphs(state: PureState, k: int) -> bool:
     if not 1 <= k <= n - 1:
         raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
     _require_common_phase(state)
-    array = OrthogonalArray(tuple(word_to_digits(w) for w in state.words),
-                            state.levels)
+    array = OrthogonalArray(_grid(state), state.levels)
     return verify_strength(array, k) and is_irredundant(array, k).ok
 
 

@@ -16,7 +16,8 @@ entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
@@ -37,9 +38,13 @@ from .errors import (
 Row = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class OrthogonalArray:
     """Immutable r x N symbol grid with an optional declared strength.
+
+    `rows` is a sequence of equal-length integer rows or a 2-D integer
+    ndarray.  The array is stored only as `grid`, a read-only array of the
+    smallest unsigned type holding levels - 1; `rows` (tuples of Python
+    ints) is built from it on first use.
 
     A declared strength is verified at construction time (and the index
     r/d**k must be a positive integer); passing strength=None skips that.
@@ -47,44 +52,68 @@ class OrthogonalArray:
     variables by row position.
     """
 
-    rows: Tuple[Row, ...]
-    levels: int
-    strength: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.levels < 2:
-            raise ParameterViolation(f"levels must be >= 2, got {self.levels}")
-        rows = tuple(tuple(int(c) for c in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows:
+    def __init__(self, rows, levels: int,
+                 strength: Optional[int] = None) -> None:
+        if not 2 <= levels <= 1 << 64:
+            raise ParameterViolation(f"levels must be in 2..2**64, got {levels}")
+        try:
+            cells = np.asarray(rows)
+        except ValueError:
+            raise ShapeMismatch("ragged rows") from None
+        if not len(cells):
             raise ParameterViolation("an array needs at least one row")
-        width = len(rows[0])
-        if width == 0:
+        if cells.ndim != 2:
+            raise ShapeMismatch("ragged rows")
+        if not cells.shape[1]:
             raise ParameterViolation("an array needs at least one column")
-        for row in rows:
-            if len(row) != width:
-                raise ShapeMismatch("ragged rows")
-            for cell in row:
-                if not 0 <= cell < self.levels:
-                    raise SymbolOutOfRange(
-                        f"symbol {cell} outside 0..{self.levels - 1}")
-        if self.strength is not None:
-            k = self.strength
-            if not 0 <= k <= width:
-                raise ParameterViolation(f"declared strength {k} outside 0..{width}")
-            if len(rows) % self.levels ** k != 0:
+        low, high = cells.min(), cells.max()
+        if low < 0 or high >= levels:
+            raise SymbolOutOfRange(
+                f"symbol {low if low < 0 else high} outside 0..{levels - 1}")
+        grid = cells.astype(np.min_scalar_type(levels - 1), order="C")
+        grid.flags.writeable = False
+        self.__dict__.update(grid=grid, levels=levels, strength=strength)
+        if strength is not None:
+            k = strength
+            r, n = grid.shape
+            if not 0 <= k <= n:
+                raise ParameterViolation(f"declared strength {k} outside 0..{n}")
+            if r % levels ** k != 0:
                 raise NotAnOAAtStrength(
-                    f"{len(rows)} runs cannot give an integer index at strength {k}")
+                    f"{r} runs cannot give an integer index at strength {k}")
             if not verify_strength(self, k):
                 raise NotAnOAAtStrength(f"rows do not have strength {k}")
 
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return OrthogonalArray, (self.grid, self.levels, self.strength)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.levels == other.levels and self.strength == other.strength
+                and np.array_equal(self.grid, other.grid))
+
+    def __hash__(self) -> int:
+        return hash((self.grid.shape, self.grid.tobytes(), self.levels,
+                     self.strength))
+
+    @cached_property
+    def rows(self) -> Tuple[Row, ...]:
+        return tuple(map(tuple, self.grid.tolist()))
+
     @property
     def runs(self) -> int:
-        return len(self.rows)
+        return self.grid.shape[0]
 
     @property
     def factors(self) -> int:
-        return len(self.rows[0])
+        return self.grid.shape[1]
 
     @property
     def index(self) -> Optional[int]:
@@ -94,7 +123,7 @@ class OrthogonalArray:
         return self.runs // self.levels ** self.strength
 
     def column(self, j: int) -> Tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
+        return tuple(self.grid[:, j].tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         k = "?" if self.strength is None else self.strength
@@ -122,7 +151,7 @@ def verify_strength(array: OrthogonalArray, k: int) -> bool:
     r, d = array.runs, array.levels
     if r % d ** k != 0:
         return False
-    grid = _array_grid(array)
+    grid = array.grid
     every = np.repeat(np.arange(d ** k), r // d ** k)
     for subsets in _subset_blocks(n, k, r):
         codes = _kept_codes(grid, d, subsets)
@@ -174,7 +203,7 @@ def is_irredundant(array: OrthogonalArray, k: int) -> IrredundancyResult:
     n = array.factors
     if not 0 <= k <= n:
         raise ParameterViolation(f"k {k} outside 0..{n}")
-    grid = _array_grid(array)
+    grid = array.grid
     u, v = _close_pairs(grid, k)
     if not len(u):
         return IrredundancyResult(True)
@@ -205,9 +234,10 @@ def is_irredundant(array: OrthogonalArray, k: int) -> IrredundancyResult:
 _BLOCK_CELLS = 1 << 15
 
 
-def _array_grid(array: OrthogonalArray) -> np.ndarray:
-    """The array's rows as an r x N grid of the smallest unsigned type."""
-    return np.asarray(array.rows, dtype=np.min_scalar_type(array.levels - 1))
+def _repeats_a_row(grid: np.ndarray) -> bool:
+    """True iff two rows of a C-ordered grid hold the same bytes."""
+    raw, width = grid.tobytes(), grid.shape[1] * grid.itemsize
+    return len({raw[i:i + width] for i in range(0, len(raw), width)}) < len(grid)
 
 
 def _group_rows(grid: np.ndarray,
@@ -463,16 +493,14 @@ def cecc_singleton_holds(n: int, code_len: int, distance: int, d: int) -> CeccRe
 def remove_columns(array: OrthogonalArray, cols: Iterable[int]) -> OrthogonalArray:
     """Drop the given 0-based columns; declared strength is not carried."""
     n = array.factors
-    removed = set()
+    keep = np.ones(n, dtype=bool)
     for c in cols:
         if not 0 <= c < n:
             raise BadSubset(f"column {c} outside 0..{n - 1}")
-        removed.add(c)
-    keep = [j for j in range(n) if j not in removed]
-    if not keep:
+        keep[c] = False
+    if not keep.any():
         raise EmptyResult("removing every column leaves nothing")
-    rows = tuple(tuple(row[j] for j in keep) for row in array.rows)
-    return OrthogonalArray(rows, array.levels)
+    return OrthogonalArray(array.grid[:, keep], array.levels)
 
 
 def derive(array: OrthogonalArray, symbol: int) -> OrthogonalArray:
@@ -482,11 +510,11 @@ def derive(array: OrthogonalArray, symbol: int) -> OrthogonalArray:
         raise SymbolOutOfRange(f"symbol {symbol} outside 0..{array.levels - 1}")
     if array.factors < 2:
         raise EmptyResult("cannot drop the only column")
-    rows = tuple(row[1:] for row in array.rows if row[0] == symbol)
-    if not rows:
+    grid = array.grid[array.grid[:, 0] == symbol, 1:]
+    if not len(grid):
         raise EmptyResult(f"no rows start with symbol {symbol}")
     declared = None if array.strength is None else max(array.strength - 1, 0)
-    return OrthogonalArray(rows, array.levels, declared)
+    return OrthogonalArray(grid, array.levels, declared)
 
 
 def _effective_strength(array: OrthogonalArray) -> int:
@@ -502,9 +530,8 @@ def juxtapose(arrays: Sequence[OrthogonalArray]) -> OrthogonalArray:
     for a in arrays:
         if a.factors != n or a.levels != d:
             raise ShapeMismatch("arrays must agree in factors and levels")
-    rows = tuple(row for a in arrays for row in a.rows)
     strength = min(_effective_strength(a) for a in arrays)
-    return OrthogonalArray(rows, d, strength)
+    return OrthogonalArray(np.concatenate([a.grid for a in arrays]), d, strength)
 
 
 def extend_with_symbol(arrays: Sequence[OrthogonalArray]) -> OrthogonalArray:
@@ -520,37 +547,38 @@ def extend_with_symbol(arrays: Sequence[OrthogonalArray]) -> OrthogonalArray:
         if a.levels != d or a.runs != r or a.factors != n:
             raise ShapeMismatch("arrays must share (runs, factors, levels)")
     strength = min(_effective_strength(a) for a in arrays)
-    rows = tuple((i,) + row for i, a in enumerate(arrays) for row in a.rows)
-    return OrthogonalArray(rows, d, strength)
+    grid = np.column_stack((np.repeat(np.arange(d), r),
+                            np.concatenate([a.grid for a in arrays])))
+    return OrthogonalArray(grid, d, strength)
 
 
-def _check_permutation(spec: Sequence[int], size: int, what: str) -> Tuple[int, ...]:
-    perm = tuple(int(x) for x in spec)
-    if sorted(perm) != list(range(size)):
-        raise NotAPermutation(f"{what} spec {perm} is not a permutation of 0..{size - 1}")
+def _check_permutation(spec: Sequence[int], size: int, what: str) -> np.ndarray:
+    perm = np.asarray(spec, dtype=np.intp)
+    if perm.shape != (size,) or \
+            not np.array_equal(np.sort(perm), np.arange(size)):
+        raise NotAPermutation(f"{what} spec {tuple(perm.tolist())} is not a "
+                              f"permutation of 0..{size - 1}")
     return perm
 
 
 def permute_rows(array: OrthogonalArray, spec: Sequence[int]) -> OrthogonalArray:
     perm = _check_permutation(spec, array.runs, "row")
-    rows = tuple(array.rows[i] for i in perm)
-    return OrthogonalArray(rows, array.levels, array.strength)
+    return OrthogonalArray(array.grid[perm], array.levels, array.strength)
 
 
 def permute_columns(array: OrthogonalArray, spec: Sequence[int]) -> OrthogonalArray:
     perm = _check_permutation(spec, array.factors, "column")
-    rows = tuple(tuple(row[j] for j in perm) for row in array.rows)
-    return OrthogonalArray(rows, array.levels, array.strength)
+    return OrthogonalArray(array.grid[:, perm], array.levels, array.strength)
 
 
 def permute_levels(array: OrthogonalArray,
                    spec: Sequence[Sequence[int]]) -> OrthogonalArray:
     """Apply a per-column relabeling of 0..d-1 (one permutation per column)."""
-    if len(spec) != array.factors:
+    n = array.factors
+    if len(spec) != n:
         raise NotAPermutation(
-            f"need one level permutation per column ({array.factors}), got {len(spec)}")
-    perms = [_check_permutation(p, array.levels, f"level (column {j})")
-             for j, p in enumerate(spec)]
-    rows = tuple(tuple(perms[j][cell] for j, cell in enumerate(row))
-                 for row in array.rows)
-    return OrthogonalArray(rows, array.levels, array.strength)
+            f"need one level permutation per column ({n}), got {len(spec)}")
+    table = np.stack([_check_permutation(p, array.levels, f"level (column {j})")
+                      for j, p in enumerate(spec)])
+    return OrthogonalArray(table[np.arange(n), array.grid], array.levels,
+                           array.strength)

@@ -33,7 +33,7 @@ from .errors import (
     Unsupported,
     UnsupportedMultiplicity,
 )
-from .oa import OrthogonalArray, _array_grid, _subset_cells, verify_strength
+from .oa import OrthogonalArray, _repeats_a_row, _subset_cells, verify_strength
 from .states import PureState, _is_k_uniform, digits_to_word, state_from_oa
 
 EXHAUSTIVE_ROW_LIMIT = 21
@@ -105,7 +105,7 @@ def _cells(array: OrthogonalArray, k: int):
     """Yield (kept, cell, pairs) for each off-diagonal cell with at least
     one contributing row pair, in lexicographic (kept, cell) order; the
     pairs (i < j) of a cell ascend."""
-    grid = _array_grid(array)
+    grid = array.grid
     for subsets, _, sub, u, v, bounds in _subset_cells(grid, array.levels, k):
         for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             kept = tuple(subsets[sub[start]].tolist())
@@ -129,7 +129,7 @@ def constraint_system(array: OrthogonalArray, k: int) -> SignConstraintSystem:
     if k > n / 2:
         raise ParameterViolation(
             f"sign fixing requires k <= N/2, got k={k}, N={n}")
-    if len(set(array.rows)) != array.runs:
+    if _repeats_a_row(array.grid):
         raise DuplicateRows("array has repeated rows")
 
     constraints = []

@@ -23,11 +23,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import ParameterMismatch, ParseError, Unsupported
-from .oa import OrthogonalArray, max_strength, verify_strength
-from .states import DIGITS36, PureState, _DIGIT_VALUE
+import numpy as np
+
+from .errors import NotAnOAAtStrength, ParameterMismatch, ParseError, Unsupported
+from .oa import OrthogonalArray, max_strength
+from .states import DIGITS36, PureState, _DIGIT_BYTES, _DIGIT_VALUE
 
 _SIGN_TOL = 1e-12
+#: Symbol value of each catalog byte (0 for bytes that are not symbols).
+_BYTE_VALUE = np.zeros(256, dtype=np.uint8)
+_BYTE_VALUE[_DIGIT_BYTES] = np.arange(len(DIGITS36))
 
 
 @dataclass(frozen=True)
@@ -67,9 +72,10 @@ def parse_catalog(text: str) -> CatalogDocument:
             header = numbers + [None] * (5 - len(fields))
             header_line = lineno
             continue
-        for col, ch in enumerate(line, start=1):
-            if ch not in _DIGIT_VALUE:
-                raise ParseError(f"invalid symbol {ch!r}", lineno, col)
+        if not _DIGIT_VALUE.keys() >= set(line):
+            col, ch = next((col, ch) for col, ch in enumerate(line, start=1)
+                           if ch not in _DIGIT_VALUE)
+            raise ParseError(f"invalid symbol {ch!r}", lineno, col)
         rows.append(line)
     if header is None:
         raise ParseError("missing 'oa' header line", header_line or 1)
@@ -90,25 +96,28 @@ def parse_oa_file(text: str) -> OrthogonalArray:
     if len(doc.rows) != doc.runs:
         raise ParameterMismatch(
             f"header declares {doc.runs} runs, file has {len(doc.rows)}")
-    cells = []
     for row in doc.rows:
         if len(row) != doc.factors:
             raise ParameterMismatch(
                 f"header declares {doc.factors} factors, row {row!r} "
                 f"has {len(row)}")
-        digits = tuple(_DIGIT_VALUE[c] for c in row)
-        if any(v >= doc.levels for v in digits):
-            raise ParameterMismatch(
-                f"row {row!r} uses symbols >= declared levels {doc.levels}")
-        cells.append(digits)
-    array = OrthogonalArray(tuple(cells), doc.levels)
-    if doc.strength is not None:
-        if not 0 <= doc.strength <= doc.factors or \
-                not verify_strength(array, doc.strength):
-            raise ParameterMismatch(
-                f"rows do not have the declared strength {doc.strength}")
-        array = OrthogonalArray(tuple(cells), doc.levels, doc.strength)
-    return array
+    raw = np.frombuffer("".join(doc.rows).encode("ascii"), dtype=np.uint8)
+    cells = _BYTE_VALUE[raw].reshape(doc.runs, doc.factors)
+    high = cells.max(axis=1) >= doc.levels
+    if high.any():
+        raise ParameterMismatch(
+            f"row {doc.rows[int(high.argmax())]!r} uses symbols >= declared "
+            f"levels {doc.levels}")
+    if doc.strength is None:
+        return OrthogonalArray(cells, doc.levels)
+    mismatch = ParameterMismatch(
+        f"rows do not have the declared strength {doc.strength}")
+    if not 0 <= doc.strength <= doc.factors:
+        raise mismatch
+    try:
+        return OrthogonalArray(cells, doc.levels, doc.strength)
+    except NotAnOAAtStrength:
+        raise mismatch from None
 
 
 def write_oa_file(array: OrthogonalArray) -> str:
@@ -118,10 +127,10 @@ def write_oa_file(array: OrthogonalArray) -> str:
         raise Unsupported(
             f"catalog files encode at most {len(DIGITS36)} levels")
     k = array.strength if array.strength is not None else max_strength(array)
-    lines = [f"oa {array.runs} {array.factors} {array.levels} {k}"]
-    for row in array.rows:
-        lines.append("".join(DIGITS36[v] for v in row))
-    return "\n".join(lines) + "\n"
+    lines = np.full((array.runs, array.factors + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :-1] = _DIGIT_BYTES[array.grid]
+    return (f"oa {array.runs} {array.factors} {array.levels} {k}\n"
+            + lines.tobytes().decode("ascii"))
 
 
 # ---------------------------------------------------------------------------

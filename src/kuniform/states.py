@@ -36,10 +36,11 @@ from .errors import (
 )
 from .linalg import jacobi_eigvalsh, rank_by_eigenvalues
 from .oa import (OrthogonalArray, _group_rows, _kept_codes, _pairs,
-                 _subset_cells, _word_counts)
+                 _repeats_a_row, _subset_cells, _word_counts)
 
 DIGITS36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUE = {c: i for i, c in enumerate(DIGITS36)}
+_DIGIT_BYTES = np.frombuffer(DIGITS36.encode("ascii"), dtype=np.uint8)
 
 #: Largest matrix dimension for which failure eigenvalues are computed.
 EIGENVALUE_DIM_LIMIT = 64
@@ -147,7 +148,7 @@ def state_from_oa(array: OrthogonalArray,
                   phases: Optional[Sequence[complex]] = None) -> PureState:
     """One term per array row: the row as a word, with the given phase
     (+1 by default).  Row i's phase is phases[i]; rows must be distinct."""
-    r = array.runs
+    r, n = array.grid.shape
     if phases is None:
         phase_list = [complex(1.0)] * r
     else:
@@ -155,11 +156,14 @@ def state_from_oa(array: OrthogonalArray,
         if len(phase_list) != r:
             raise PhaseLengthMismatch(
                 f"need {r} phases, got {len(phase_list)}")
-    if len(set(array.rows)) != r:
+    if array.levels > len(DIGITS36):
+        raise ParameterViolation(
+            f"levels must be in 2..{len(DIGITS36)}, got {array.levels}")
+    if _repeats_a_row(array.grid):
         raise DuplicateRows("array has repeated rows")
-    terms = tuple((digits_to_word(row), ph)
-                  for row, ph in zip(array.rows, phase_list))
-    return PureState(array.factors, array.levels, terms)
+    words = _DIGIT_BYTES[array.grid].view(f"S{n}")[:, 0].tolist()
+    terms = tuple((w.decode("ascii"), ph) for w, ph in zip(words, phase_list))
+    return PureState(n, array.levels, terms)
 
 
 def _validated_subset(keep: Sequence[int], n: int, *,

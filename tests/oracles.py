@@ -146,6 +146,188 @@ def string_key_cells(rows, k):
 
 
 # ---------------------------------------------------------------------------
+# finite fields, array constructions and transformations, cell by cell
+# ---------------------------------------------------------------------------
+
+def _poly_mul_mod(a, b, modulus, p):
+    """Product of two low-degree-first coefficient lists over GF(p),
+    reduced by the monic `modulus`; the result has len(modulus) - 1
+    coefficients."""
+    m = len(modulus) - 1
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(len(prod) - 1, m - 1, -1):
+        lead = prod[top]
+        for i in range(m + 1):
+            prod[top - m + i] = (prod[top - m + i] - lead * modulus[i]) % p
+    return prod[:m]
+
+
+def gf_tables(q):
+    """(p, add, mul) for GF(q) as lists of lists over element codes.
+
+    Codes are base-p digit vectors, least significant digit the constant
+    coefficient.  The modulus is the first monic degree-m polynomial, in
+    low-degree-first lexicographic order of its lower coefficients, that is
+    not a product of two monic polynomials of positive degree.
+    """
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    m = 0
+    while p ** m < q:
+        m += 1
+    if p ** m != q:
+        raise ValueError(f"{q} is not a prime power")
+
+    def monic(degree):
+        return [list(low) + [1] for low in product(range(p), repeat=degree)]
+
+    reducible = set()
+    for d1 in range(1, m // 2 + 1):
+        for f in monic(d1):
+            for g in monic(m - d1):
+                prod = [0] * (m + 1)
+                for i, x in enumerate(f):
+                    for j, y in enumerate(g):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+                reducible.add(tuple(prod))
+    modulus = next(f for f in monic(m) if tuple(f) not in reducible)
+
+    def digits(code):
+        return [code // p ** i % p for i in range(m)]
+
+    def code(ds):
+        return sum(v * p ** i for i, v in enumerate(ds))
+
+    add = [[code([(x + y) % p for x, y in zip(digits(a), digits(b))])
+            for b in range(q)] for a in range(q)]
+    if m == 1:
+        mul = [[a * b % p for b in range(q)] for a in range(q)]
+    else:
+        mul = [[code(_poly_mul_mod(digits(a), digits(b), modulus, p))
+                for b in range(q)] for a in range(q)]
+    return p, add, mul
+
+
+def base_digits(code, d, width):
+    """Base-d digits of code, least significant first."""
+    out = []
+    for _ in range(width):
+        out.append(code % d)
+        code //= d
+    return tuple(out)
+
+
+def rao_rows(d, n):
+    """Rows of the Rao-Hamming OA(d**n, (d**n - 1)/(d - 1), d, 2): rows are
+    the vectors of GF(d)**n in code order, columns the nonzero vectors whose
+    first nonzero coordinate is 1, cells their dot products."""
+    _, add, mul = gf_tables(d)
+    columns = [v for v in (base_digits(c, d, n) for c in range(1, d ** n))
+               if next(x for x in v if x) == 1]
+    rows = []
+    for code in range(d ** n):
+        x = base_digits(code, d, n)
+        row = []
+        for c in columns:
+            acc = 0
+            for xi, ci in zip(x, c):
+                acc = add[acc][mul[xi][ci]]
+            row.append(acc)
+        rows.append(tuple(row))
+    return rows
+
+
+def _evaluation_rows(d, k):
+    """(coefficients, evaluations) per polynomial c_0 + ... + c_{k-1} x**(k-1)
+    over GF(d), polynomials in code order (c_0 least significant), each
+    evaluated at every element as the sum of c_j * e**j."""
+    _, add, mul = gf_tables(d)
+    out = []
+    for code in range(d ** k):
+        coeffs = base_digits(code, d, k)
+        evals = []
+        for e in range(d):
+            acc, power = 0, 1
+            for c in coeffs:
+                acc = add[acc][mul[c][power]]
+                power = mul[power][e]
+            evals.append(acc)
+        out.append((coeffs, evals))
+    return out
+
+
+def bush_rows(d, k):
+    """Rows of the Bush OA(d**k, d + 1, d, k): leading coefficient, then the
+    polynomial's values at every field element."""
+    return [tuple([c[k - 1]] + e) for c, e in _evaluation_rows(d, k)]
+
+
+def bush_extended_rows(d):
+    """Rows of the extended Bush OA(d**3, d + 2, d, 3): (a, b, then
+    a e**2 + b e + c at every field element) for the code (a, b, c), c
+    least significant."""
+    return [tuple([c[2], c[1]] + e) for c, e in _evaluation_rows(d, 3)]
+
+
+def paley_entries(q):
+    """The normalized Paley type I Hadamard matrix of order q + 1 (q prime,
+    q = 3 mod 4): I + S with S bordered by +1 (top) and -1 (left) around
+    the quadratic-residue character chi(i - j), then normalized."""
+    residues = {x * x % q for x in range(1, q)}
+    size = q + 1
+    h = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if i == 0:
+                s = 0 if j == 0 else 1
+            elif j == 0:
+                s = -1
+            else:
+                a = (i - j) % q
+                s = 0 if a == 0 else (1 if a in residues else -1)
+            h[i][j] = s + (1 if i == j else 0)
+    return normalize_entries(h)
+
+
+def normalize_entries(h):
+    """Negate the rows that start with -1, then the columns whose first
+    entry is -1."""
+    h = [list(row) for row in h]
+    for row in h:
+        if row[0] == -1:
+            row[:] = [-v for v in row]
+    for j in range(len(h)):
+        if h[0][j] == -1:
+            for row in h:
+                row[j] = -row[j]
+    return [tuple(row) for row in h]
+
+
+def remove_columns_rows(rows, cols):
+    drop = set(cols)
+    return [tuple(v for j, v in enumerate(row) if j not in drop)
+            for row in rows]
+
+
+def derive_rows(rows, symbol):
+    return [row[1:] for row in rows if row[0] == symbol]
+
+
+def permute_rows_rows(rows, perm):
+    return [rows[i] for i in perm]
+
+
+def permute_columns_rows(rows, perm):
+    return [tuple(row[j] for j in perm) for row in rows]
+
+
+def permute_levels_rows(rows, perms):
+    return [tuple(perms[j][v] for j, v in enumerate(row)) for row in rows]
+
+
+# ---------------------------------------------------------------------------
 # partial traces
 # ---------------------------------------------------------------------------
 

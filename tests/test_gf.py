@@ -1,7 +1,9 @@
 """Finite-field arithmetic tests."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from kuniform import (
@@ -167,3 +169,31 @@ def test_nonzero_elements_form_a_cyclic_group():
             orders.add(n)
             assert (q - 1) % n == 0
         assert (q - 1) in orders
+
+
+def test_mul_table_equals_polynomial_multiplication():
+    primes = [p for p in range(2, 65) if all(p % t for t in range(2, p))]
+    orders = [q for q in range(2, 65) if sum(q % p == 0 for p in primes) == 1]
+    for q in orders:
+        f = field_new(q)
+        want = [[f._mul_raw(a, b) for b in range(q)] for a in range(q)]
+        assert f.mul_table.tolist() == want
+        assert all(type(f.mul_codes(a, 1)) is int for a in range(q))
+    rng = random.Random(512)
+    for q in (256, 512):
+        f = field_new(q)
+        for _ in range(2000):
+            a, b = rng.randrange(q), rng.randrange(q)
+            assert f.mul_codes(a, b) == f._mul_raw(a, b)
+            assert f.add_codes(a, b) == f._add_raw(a, b)
+        assert f.mul_table.shape == (q, q)
+
+
+def test_tables_are_read_only_and_absent_beyond_512():
+    f = field_new(16)
+    for table in (f.add_table, f.neg_table, f.mul_table):
+        assert table.dtype == np.uint8 and not table.flags.writeable
+    assert field_new(512).mul_table.dtype == np.uint16
+    big = field_new(1024)
+    assert big.mul_table is None and big.add_table is None
+    assert big.mul_codes(big.inv_code(777), 777) == 1
