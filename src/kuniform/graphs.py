@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import ParameterViolation, ParseError, PhasesPresent
-from .oa import OrthogonalArray, is_irredundant, verify_strength
-from .states import DIGITS36, PureState, _grid, _validated_subset
+import numpy as np
+
+from .errors import BadSubset, ParameterViolation, ParseError, PhasesPresent
+from .oa import OrthogonalArray, _group_rows, is_irredundant, verify_strength
+from .states import (DIGITS36, PureState, _from_grid, _text_words,
+                     _validated_subset)
 
 _PHASE_EQ_TOL = 1e-12
 
@@ -57,14 +60,15 @@ def _all_words(d: int, length: int) -> Tuple[str, ...]:
 
 def graph_from_state(state: PureState, keep: Sequence[int]) -> BipartiteGraph:
     """Split every term's word across the partition; phases ride along as
-    edge annotations and do not affect the topology."""
+    edge annotations and do not affect the topology.  Vertices are base-36
+    words, so states of more than 36 levels raise Unsupported."""
     kept = _validated_subset(keep, state.qudits)
-    dropped = tuple(i for i in range(state.qudits) if i not in kept)
-    edges = tuple(("".join(word[i] for i in kept),
-                   "".join(word[i] for i in dropped),
-                   phase)
-                  for word, phase in state.terms)
-    return BipartiteGraph(state.qudits, state.levels, kept, edges)
+    dropped = [i for i in range(state.qudits) if i not in kept]
+    grid, d = state.grid, state.levels
+    edges = tuple(zip(_text_words(grid[:, list(kept)], d),
+                      _text_words(grid[:, dropped], d),
+                      state.phase_vector.tolist()))
+    return BipartiteGraph(state.qudits, d, kept, edges)
 
 
 class RuleCheck(NamedTuple):
@@ -87,8 +91,8 @@ def check_rules(graph: BipartiteGraph) -> RuleCheck:
 
 
 def _require_common_phase(state: PureState) -> None:
-    first = state.terms[0][1]
-    if any(abs(p - first) > _PHASE_EQ_TOL for _, p in state.terms):
+    phases = state.phase_vector
+    if (abs(phases - phases[0]) > _PHASE_EQ_TOL).any():
         raise PhasesPresent(
             "graph rules apply only to states with one common phase; "
             "use the spectral certifier for mixed phases")
@@ -102,24 +106,26 @@ def is_k_uniform_by_graphs(state: PureState, k: int) -> bool:
     if not 1 <= k <= n - 1:
         raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
     _require_common_phase(state)
-    array = OrthogonalArray(_grid(state), state.levels)
+    array = OrthogonalArray(state.grid, state.levels)
     return verify_strength(array, k) and is_irredundant(array, k).ok
 
 
 def graphs_identical(state: PureState, k: int) -> bool:
     """True iff the edge multisets -- as (kept-word, dropped-word) label
-    pairs -- coincide across all C(N, k) partitions."""
+    pairs -- coincide across all C(N, k) partitions: the words with their
+    columns reordered kept-first are one set for every partition."""
     n = state.qudits
     if not 1 <= k <= n - 1:
         raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
     _require_common_phase(state)
+    grid = state.grid
     reference = None
     for kept in combinations(range(n), k):
-        graph = graph_from_state(state, kept)
-        labels = sorted((a, b) for a, b, _ in graph.edges)
+        cols = list(kept) + [i for i in range(n) if i not in kept]
+        edges = grid[_group_rows(grid, cols)[0]][:, cols]
         if reference is None:
-            reference = labels
-        elif labels != reference:
+            reference = edges
+        elif not np.array_equal(edges, reference):
             return False
     return True
 
@@ -161,28 +167,21 @@ def adjacency(graph: BipartiteGraph) -> AdjacencyMatrix:
 def state_from_adjacency(matrix: AdjacencyMatrix) -> PureState:
     """One +1 term per set bit; the kept/dropped words are re-interleaved
     back into full words using the partition metadata."""
-    kept = matrix.kept
-    dropped = tuple(i for i in range(matrix.qudits) if i not in kept)
-    words_a = _all_words(matrix.levels, len(kept))
-    words_b = _all_words(matrix.levels, len(dropped))
-    if len(matrix.matrix) != len(words_a) or any(
-            len(row) != len(words_b) for row in matrix.matrix):
+    n, d, kept = matrix.qudits, matrix.levels, list(matrix.kept)
+    dropped = [i for i in range(n) if i not in kept]
+    if len(matrix.matrix) != d ** len(kept) or any(
+            len(row) != d ** len(dropped) for row in matrix.matrix):
         raise ParameterViolation("matrix shape does not match the partition")
-    terms = []
-    for i, row in enumerate(matrix.matrix):
-        for j, bit in enumerate(row):
-            if bit not in (0, 1):
-                raise ParameterViolation("matrix entries must be 0 or 1")
-            if bit:
-                chars = [""] * matrix.qudits
-                for pos, ch in zip(kept, words_a[i]):
-                    chars[pos] = ch
-                for pos, ch in zip(dropped, words_b[j]):
-                    chars[pos] = ch
-                terms.append(("".join(chars), complex(1.0)))
-    if not terms:
+    bits = np.array(matrix.matrix)
+    if not np.isin(bits, (0, 1)).all():
+        raise ParameterViolation("matrix entries must be 0 or 1")
+    # bit (a, b) is flat index a * d**len(dropped) + b, whose base-d digits
+    # are the kept word followed by the dropped word
+    cells = np.unravel_index(np.flatnonzero(bits), (d,) * n)
+    if not len(cells[0]):
         raise ParameterViolation("matrix has no set bits")
-    return PureState(matrix.qudits, matrix.levels, tuple(terms))
+    grid = np.column_stack(cells)[:, np.argsort(kept + dropped)]
+    return _from_grid(grid, d, np.ones(len(grid), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +235,20 @@ def graph_from_json(text: str) -> BipartiteGraph:
     """Inverse of to_json."""
     try:
         doc = json.loads(text)
+        n, d = int(doc["n"]), int(doc["d"])
+        if not 2 <= d <= len(DIGITS36):
+            raise ValueError(f"d must be in 2..{len(DIGITS36)}, got {d}")
         kept = tuple(int(c) - 1 for c in doc["partition"])
+        _validated_subset(kept, n)
         edges = tuple((str(a), str(b), complex(re, im))
                       for a, b, (re, im) in doc["edges"])
-        graph = BipartiteGraph(int(doc["n"]), int(doc["d"]), kept, edges)
-    except (KeyError, TypeError, ValueError) as exc:
+        listed = [list(doc["vertices_a"]), list(doc["vertices_b"])]
+    except (KeyError, TypeError, ValueError, BadSubset) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from exc
-    if list(graph.vertices_a) != list(doc["vertices_a"]) or \
-            list(graph.vertices_b) != list(doc["vertices_b"]):
+    graph = BipartiteGraph(n, d, kept, edges)
+    if [list(graph.vertices_a), list(graph.vertices_b)] != listed:
         raise ParseError("vertex lists do not match the declared partition")
+    side_a, side_b = map(set, listed)
+    if any(a not in side_a or b not in side_b for a, b, _ in edges):
+        raise ParseError("an edge word is not a vertex of the partition")
     return graph

@@ -234,12 +234,6 @@ def is_irredundant(array: OrthogonalArray, k: int) -> IrredundancyResult:
 _BLOCK_CELLS = 1 << 15
 
 
-def _repeats_a_row(grid: np.ndarray) -> bool:
-    """True iff two rows of a C-ordered grid hold the same bytes."""
-    raw, width = grid.tobytes(), grid.shape[1] * grid.itemsize
-    return len({raw[i:i + width] for i in range(0, len(raw), width)}) < len(grid)
-
-
 def _group_rows(grid: np.ndarray,
                 cols: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Group the rows of an unsigned-int grid by their values on `cols`.
@@ -252,7 +246,7 @@ def _group_rows(grid: np.ndarray,
     overflow.  With no columns, all rows form one group.
     """
     r = grid.shape[0]
-    cells = grid[:, list(cols)]
+    cells = grid.take(list(cols), axis=1)
     raw = cells.astype(cells.dtype.newbyteorder(">"), order="C",
                       copy=False).view(np.uint8)
     packed = np.zeros((r, max(8, -(-raw.shape[1] // 8) * 8)), dtype=np.uint8)

@@ -33,7 +33,7 @@ from .errors import (
     Unsupported,
     UnsupportedMultiplicity,
 )
-from .oa import OrthogonalArray, _repeats_a_row, _subset_cells, verify_strength
+from .oa import OrthogonalArray, _group_rows, _subset_cells, verify_strength
 from .states import PureState, _is_k_uniform, digits_to_word, state_from_oa
 
 EXHAUSTIVE_ROW_LIMIT = 21
@@ -129,7 +129,7 @@ def constraint_system(array: OrthogonalArray, k: int) -> SignConstraintSystem:
     if k > n / 2:
         raise ParameterViolation(
             f"sign fixing requires k <= N/2, got k={k}, N={n}")
-    if _repeats_a_row(array.grid):
+    if len(_group_rows(array.grid, range(n))[1]) <= array.runs:
         raise DuplicateRows("array has repeated rows")
 
     constraints = []

@@ -27,12 +27,10 @@ import numpy as np
 
 from .errors import NotAnOAAtStrength, ParameterMismatch, ParseError, Unsupported
 from .oa import OrthogonalArray, max_strength
-from .states import DIGITS36, PureState, _DIGIT_BYTES, _DIGIT_VALUE
+from .states import (DIGITS36, PureState, _BYTE_VALUE, _DIGIT_BYTES,
+                     _DIGIT_VALUE, _text_words)
 
 _SIGN_TOL = 1e-12
-#: Symbol value of each catalog byte (0 for bytes that are not symbols).
-_BYTE_VALUE = np.zeros(256, dtype=np.uint8)
-_BYTE_VALUE[_DIGIT_BYTES] = np.arange(len(DIGITS36))
 
 
 @dataclass(frozen=True)
@@ -208,17 +206,19 @@ def parse_ket(text: str, levels: Optional[int] = None) -> PureState:
         if len(word) != n:
             raise ParseError(f"word {word!r} has length {len(word)}, "
                              f"expected {n}")
-    inferred = max(2, max(v for w, _ in terms for v in
-                          (_DIGIT_VALUE[c] for c in w)) + 1)
+    # digit characters sort as their values
+    inferred = max(2, _DIGIT_VALUE[max("".join(w for w, _ in terms))] + 1)
     d = levels if levels is not None else inferred
     return PureState(n, d, tuple(terms))
 
 
 def write_ket(state: PureState) -> str:
     """One line of space-separated terms in canonical order; real +/-1
-    phases use sign form, anything else an explicit e^{i<angle>} tag."""
+    phases use sign form, anything else an explicit e^{i<angle>} tag.
+    Words are base-36, so states of more than 36 levels raise Unsupported."""
     parts = []
-    for word, phase in state.terms:
+    words = _text_words(state.grid, state.levels)
+    for word, phase in zip(words, state.phase_vector.tolist()):
         if abs(phase - 1.0) <= _SIGN_TOL:
             parts.append(f"+|{word}>")
         elif abs(phase + 1.0) <= _SIGN_TOL:

@@ -19,9 +19,9 @@ that holds a failing one.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,14 +33,19 @@ from .errors import (
     PhaseLengthMismatch,
     ShapeMismatch,
     TooLarge,
+    Unsupported,
 )
 from .linalg import jacobi_eigvalsh, rank_by_eigenvalues
 from .oa import (OrthogonalArray, _group_rows, _kept_codes, _pairs,
-                 _repeats_a_row, _subset_cells, _word_counts)
+                 _subset_cells, _word_counts)
 
 DIGITS36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUE = {c: i for i, c in enumerate(DIGITS36)}
 _DIGIT_BYTES = np.frombuffer(DIGITS36.encode("ascii"), dtype=np.uint8)
+#: Symbol value of each byte; 256, above every level a state holds, for
+#: bytes that are not base-36 digits.
+_BYTE_VALUE = np.full(256, 256, dtype=np.uint16)
+_BYTE_VALUE[_DIGIT_BYTES] = np.arange(len(DIGITS36))
 
 #: Largest matrix dimension for which failure eigenvalues are computed.
 EIGENVALUE_DIM_LIMIT = 64
@@ -63,57 +68,106 @@ def word_to_digits(word: str) -> Tuple[int, ...]:
     return tuple(_DIGIT_VALUE[c] for c in word)
 
 
-@dataclass(frozen=True)
+def _text_words(grid: np.ndarray, levels: int) -> List[str]:
+    """Each row of a symbol grid as a base-36 word."""
+    if levels > len(DIGITS36):
+        raise Unsupported(f"base-36 words encode at most {len(DIGITS36)} "
+                          f"levels, got {levels}")
+    n = grid.shape[1]
+    text = np.ascontiguousarray(_DIGIT_BYTES[grid]).view(f"S{n}")[:, 0]
+    return text.astype(f"U{n}").tolist()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class PureState:
     """N-qudit state: distinct length-N words with unit-modulus phases.
 
-    Terms are canonicalized to ascending word order at construction; phase
-    order follows the words.
+    Built from (word, phase) terms in any order, the words in base-36
+    digits.  Stored only as `grid`, a read-only r x N uint8 array of level
+    values whose rows are the words in ascending order, `levels` (2..256),
+    and `phase_vector`, the read-only complex phases in row order.  `terms`,
+    `words` and `phases` are tuples built from them on first use; `terms`
+    and `words` are base-36 text, so they raise Unsupported above 36 levels.
     """
 
-    qudits: int
+    grid: np.ndarray
     levels: int
-    terms: Tuple[Tuple[str, complex], ...]
+    phase_vector: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.qudits < 1:
-            raise ParameterViolation("need at least one qudit")
-        if not 2 <= self.levels <= len(DIGITS36):
-            raise ParameterViolation(
-                f"levels must be in 2..{len(DIGITS36)}, got {self.levels}")
-        if not self.terms:
-            raise ParameterViolation("a state needs at least one term")
-        alphabet = DIGITS36[: self.levels]
-        cleaned = []
-        for word, phase in self.terms:
-            if len(word) != self.qudits:
-                raise ShapeMismatch(
-                    f"word {word!r} is not length {self.qudits}")
-            if any(c not in alphabet for c in word):
-                raise ParameterViolation(
-                    f"word {word!r} uses symbols outside 0..{self.levels - 1}")
-            phase = complex(phase)
-            if abs(abs(phase) - 1.0) > 1e-12:
-                raise ParameterViolation(
-                    f"phase {phase} is not unit-modulus")
-            cleaned.append((word, phase))
-        cleaned.sort(key=lambda t: t[0])
-        for (wa, _), (wb, _) in zip(cleaned, cleaned[1:]):
-            if wa == wb:
-                raise DuplicateRows(f"duplicate word {wa!r}")
-        object.__setattr__(self, "terms", tuple(cleaned))
+    def __new__(cls, qudits: int, levels: int,
+                terms: Sequence[Tuple[str, complex]]) -> PureState:
+        if qudits < 1 or not terms:
+            raise ParameterViolation("a state needs a qudit and a term")
+        words, phases = zip(*terms)
+        try:
+            text = "".join(words)
+        except TypeError:
+            raise ParameterViolation("words must be str") from None
+        if set(map(len, words)) != {qudits}:
+            raise ShapeMismatch(f"every word must have length {qudits}")
+        # a character that is no base-36 digit becomes "?", symbol 256
+        raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+        return _from_grid(_BYTE_VALUE[raw].reshape(-1, qudits), levels, phases)
+
+    def __reduce__(self):
+        return _from_grid, (self.grid, self.levels, self.phase_vector)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.levels == other.levels
+                and np.array_equal(self.grid, other.grid)
+                and np.array_equal(self.phase_vector, other.phase_vector))
+
+    def __hash__(self) -> int:
+        # equal phases can differ in bytes (0.0, -0.0): hash only the words
+        return hash((self.grid.shape, self.grid.tobytes(), self.levels))
+
+    @property
+    def qudits(self) -> int:
+        return self.grid.shape[1]
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return self.grid.shape[0]
 
-    @property
+    @cached_property
     def words(self) -> Tuple[str, ...]:
-        return tuple(w for w, _ in self.terms)
+        return tuple(_text_words(self.grid, self.levels))
 
-    @property
+    @cached_property
     def phases(self) -> Tuple[complex, ...]:
-        return tuple(p for _, p in self.terms)
+        return tuple(self.phase_vector.tolist())
+
+    @cached_property
+    def terms(self) -> Tuple[Tuple[str, complex], ...]:
+        return tuple(zip(self.words, self.phases))
+
+
+def _from_grid(grid: np.ndarray, levels: int, phases) -> PureState:
+    """The state with terms (row i of `grid`, phases[i]): validated, put in
+    ascending word order and stored read-only.  Every state is made here."""
+    if not 2 <= levels <= 256:  # symbols are stored as uint8
+        raise ParameterViolation(f"levels must be in 2..256, got {levels}")
+    r, n = grid.shape
+    phases = np.asarray(phases, dtype=complex)
+    if phases.shape != (r,):
+        raise PhaseLengthMismatch(f"need {r} phases, got {len(phases)}")
+    if grid.max() >= levels:
+        raise ParameterViolation(f"words use symbols outside 0..{levels - 1}")
+    unit = abs(abs(phases) - 1.0) <= 1e-12  # False for NaN
+    if not unit.all():
+        raise ParameterViolation(
+            f"phase {phases[~unit][0]} is not finite and unit-modulus")
+    # the stable byte order of the rows is ascending word order
+    order, bounds = _group_rows(grid, range(n))
+    if len(bounds) <= r:
+        raise DuplicateRows("two terms share one word")
+    grid, phases = grid[order].astype(np.uint8, copy=False), phases[order]
+    grid.flags.writeable = phases.flags.writeable = False
+    state = object.__new__(PureState)
+    state.__dict__.update(grid=grid, levels=levels, phase_vector=phases)
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,22 +202,9 @@ def state_from_oa(array: OrthogonalArray,
                   phases: Optional[Sequence[complex]] = None) -> PureState:
     """One term per array row: the row as a word, with the given phase
     (+1 by default).  Row i's phase is phases[i]; rows must be distinct."""
-    r, n = array.grid.shape
     if phases is None:
-        phase_list = [complex(1.0)] * r
-    else:
-        phase_list = [complex(p) for p in phases]
-        if len(phase_list) != r:
-            raise PhaseLengthMismatch(
-                f"need {r} phases, got {len(phase_list)}")
-    if array.levels > len(DIGITS36):
-        raise ParameterViolation(
-            f"levels must be in 2..{len(DIGITS36)}, got {array.levels}")
-    if _repeats_a_row(array.grid):
-        raise DuplicateRows("array has repeated rows")
-    words = _DIGIT_BYTES[array.grid].view(f"S{n}")[:, 0].tolist()
-    terms = tuple((w.decode("ascii"), ph) for w, ph in zip(words, phase_list))
-    return PureState(n, array.levels, terms)
+        phases = np.ones(array.runs, dtype=complex)
+    return _from_grid(array.grid, array.levels, phases)
 
 
 def _validated_subset(keep: Sequence[int], n: int, *,
@@ -196,7 +237,7 @@ def reduce(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     if 16 * dim * dim > DENSE_BYTES_LIMIT:
         raise TooLarge(f"a {dim} x {dim} reduction needs {16 * dim * dim} "
                        f"bytes, over the {DENSE_BYTES_LIMIT}-byte limit")
-    grid, phases = _grid(state), np.array(state.phases)
+    grid, phases = state.grid, state.phase_vector
     codes = _kept_codes(grid, d, np.array([kept]))[0]
 
     data = np.zeros((dim, dim), dtype=complex)
@@ -207,13 +248,6 @@ def reduce(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     np.add.at(data, (codes[v], codes[u]), value.conj())
     data /= state.term_count
     return DensityMatrix(data, kept, d)
-
-
-def _grid(state: PureState) -> np.ndarray:
-    """The terms' words as an r x N uint8 grid of level values."""
-    raw = np.frombuffer("".join(state.words).encode("ascii"), dtype=np.uint8)
-    grid = np.where(raw >= ord("a"), raw - (ord("a") - 10), raw - ord("0"))
-    return grid.astype(np.uint8).reshape(state.term_count, state.qudits)
 
 
 def _deviations(state: PureState, k: int,
@@ -233,7 +267,7 @@ def _deviations(state: PureState, k: int,
         raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
     if tol <= 0:
         raise ParameterViolation("tol must be positive")
-    grid, phases = _grid(state), np.array(state.phases)
+    grid, phases = state.grid, state.phase_vector
     target = 1.0 / d ** k
     words = min(d ** k, r + 1)  # r + 1 stands in for a d**k beyond int64
     for subsets, codes, sub, u, v, bounds in _subset_cells(grid, d, k):
@@ -335,10 +369,10 @@ def orbit_state(state: PureState, angles: Sequence[float]) -> PureState:
     r = state.term_count
     if len(angles) != r - 1:
         raise LengthMismatch(f"need {r - 1} angles, got {len(angles)}")
-    terms = [state.terms[0]]
-    for (word, phase), angle in zip(state.terms[1:], angles):
-        terms.append((word, phase * cmath.exp(1j * float(angle))))
-    return PureState(state.qudits, state.levels, tuple(terms))
+    phases = state.phase_vector.copy()
+    with np.errstate(invalid="ignore"):  # a non-finite angle fails below
+        phases[1:] *= np.exp(1j * np.asarray(angles, dtype=float))
+    return _from_grid(state.grid, state.levels, phases)
 
 
 def layered_state(parts: Sequence[PureState]) -> PureState:
@@ -354,10 +388,11 @@ def layered_state(parts: Sequence[PureState]) -> PureState:
         raise ShapeMismatch("parts must share qudit and level counts")
     if len(parts) > d:
         raise ShapeMismatch(f"at most {d} parts allowed, got {len(parts)}")
-    terms = tuple((DIGITS36[i] + word, phase)
-                  for i, part in enumerate(parts)
-                  for word, phase in part.terms)
-    return PureState(n + 1, d, terms)
+    prefix = np.repeat(np.arange(len(parts), dtype=np.uint8),
+                       [p.term_count for p in parts])
+    grid = np.column_stack((prefix, np.concatenate([p.grid for p in parts])))
+    phases = np.concatenate([p.phase_vector for p in parts])
+    return _from_grid(grid, d, phases)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -10,7 +10,9 @@ irreducibility test) the oracle defers to it.
 
 from __future__ import annotations
 
+import cmath
 import re
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -325,6 +327,81 @@ def permute_columns_rows(rows, perm):
 
 def permute_levels_rows(rows, perms):
     return [tuple(perms[j][v] for j, v in enumerate(row)) for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# states as base-36 string terms
+# ---------------------------------------------------------------------------
+
+class StateRejected(ValueError):
+    """The string-term constructor refused its input; `kind` names the
+    library error class that stands for the same fault."""
+
+    def __init__(self, kind, message):
+        super().__init__(message)
+        self.kind = kind
+
+
+@dataclass(frozen=True)
+class StringState:
+    """A state kept as (word, phase) string terms: distinct length-N words
+    over the first `levels` base-36 digits with unit-modulus phases,
+    validated term by term and sorted by word."""
+
+    qudits: int
+    levels: int
+    terms: tuple
+
+    def __post_init__(self):
+        if self.qudits < 1:
+            raise StateRejected("ParameterViolation", "need at least one qudit")
+        if not 2 <= self.levels <= len(DIGITS36):
+            raise StateRejected("ParameterViolation",
+                                f"levels must be in 2..{len(DIGITS36)}")
+        if not self.terms:
+            raise StateRejected("ParameterViolation", "no terms")
+        alphabet = DIGITS36[: self.levels]
+        cleaned = []
+        for word, phase in self.terms:
+            if len(word) != self.qudits:
+                raise StateRejected("ShapeMismatch",
+                                    f"word {word!r} is not length {self.qudits}")
+            if any(c not in alphabet for c in word):
+                raise StateRejected("ParameterViolation",
+                                    f"word {word!r} uses symbols outside "
+                                    f"0..{self.levels - 1}")
+            phase = complex(phase)
+            if abs(abs(phase) - 1.0) > 1e-12:
+                raise StateRejected("ParameterViolation",
+                                    f"phase {phase} is not unit-modulus")
+            cleaned.append((word, phase))
+        cleaned.sort(key=lambda t: t[0])
+        for (wa, _), (wb, _) in zip(cleaned, cleaned[1:]):
+            if wa == wb:
+                raise StateRejected("DuplicateRows", f"duplicate word {wa!r}")
+        object.__setattr__(self, "terms", tuple(cleaned))
+
+    @property
+    def words(self):
+        return tuple(w for w, _ in self.terms)
+
+    @property
+    def phases(self):
+        return tuple(p for _, p in self.terms)
+
+
+def string_ket(state):
+    """Ket text of a StringState: space-separated terms in word order, sign
+    form for phases within 1e-12 of +/-1, else an e^{i<angle>} tag."""
+    parts = []
+    for word, phase in state.terms:
+        if abs(phase - 1.0) <= 1e-12:
+            parts.append(f"+|{word}>")
+        elif abs(phase + 1.0) <= 1e-12:
+            parts.append(f"-|{word}>")
+        else:
+            parts.append(f"+e^{{i{cmath.phase(phase)!r}}}|{word}>")
+    return " ".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -235,3 +235,22 @@ def test_graph_and_spectral_certifiers_agree(fixtures_dir):
         spectral = max_uniformity(st)
         for k in range(1, st.qudits // 2 + 1):
             assert is_k_uniform_by_graphs(st, k) == (k <= spectral)
+
+
+
+@pytest.mark.parametrize("change", [
+    {"partition": [3]},                        # qudit outside 1..n
+    {"partition": [0]},
+    {"partition": [1, 2]},                     # not a proper subset
+    {"d": 37},                                 # beyond base-36 labels
+    {"edges": [["0", "11", [1.0, 0.0]]]},      # dropped word too long
+    {"edges": [["", "1", [1.0, 0.0]]]},        # kept word too short
+    {"edges": [["2", "1", [1.0, 0.0]]]},       # symbol >= d
+    {"vertices_b": None},
+])
+def test_graph_from_json_rejects_inconsistent_documents(fixtures_dir, change):
+    doc = json.loads(to_json(graph_from_state(load_ket(fixtures_dir, "bell"),
+                                              [0])))
+    doc.update(change)
+    with pytest.raises(ParseError):
+        graph_from_json(json.dumps(doc))
