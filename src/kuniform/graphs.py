@@ -16,16 +16,18 @@ B' is strength k and A' is irredundancy at k.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadSubset, ParameterViolation, ParseError, PhasesPresent
+from .errors import (BadSubset, ParameterViolation, ParseError, PhasesPresent,
+                     TooLarge)
 from .oa import OrthogonalArray, _group_rows, is_irredundant, verify_strength
-from .states import (DIGITS36, PureState, _from_grid, _text_words,
-                     _validated_subset)
+from .states import (DENSE_BYTES_LIMIT, DIGITS36, PureState, _from_grid,
+                     _text_words, _validated_subset)
 
 _PHASE_EQ_TOL = 1e-12
 
@@ -53,7 +55,18 @@ class BipartiteGraph:
         return _all_words(self.levels, self.qudits - len(self.kept))
 
 
+def _require_listable(items: int, item_bytes: int, what: str) -> None:
+    """TooLarge, before any allocation, when `items` Python objects of
+    `item_bytes` each would pass DENSE_BYTES_LIMIT."""
+    if items * item_bytes > DENSE_BYTES_LIMIT:
+        raise TooLarge(f"{what} needs about {items * item_bytes} bytes, "
+                       f"over the {DENSE_BYTES_LIMIT}-byte limit")
+
+
 def _all_words(d: int, length: int) -> Tuple[str, ...]:
+    # each word is a str object plus its slot in the tuple
+    _require_listable(d ** length, sys.getsizeof("0" * length) + 8,
+                      f"listing {d ** length} words")
     return tuple("".join(DIGITS36[v] for v in t)
                  for t in product(range(d), repeat=length))
 
@@ -155,6 +168,11 @@ class AdjacencyMatrix:
 
 
 def adjacency(graph: BipartiteGraph) -> AdjacencyMatrix:
+    """The full d**k x d**(N-k) matrix as nested tuples; TooLarge when its
+    cells, each held in a row list and again in the tuple copy, would
+    pass DENSE_BYTES_LIMIT."""
+    _require_listable(graph.levels ** graph.qudits, 16,
+                      f"a {graph.levels}**{graph.qudits}-cell adjacency")
     index_a = {w: i for i, w in enumerate(graph.vertices_a)}
     index_b = {w: i for i, w in enumerate(graph.vertices_b)}
     grid = [[0] * len(index_b) for _ in index_a]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -280,7 +280,9 @@ def _subset_blocks(n: int, k: int, r: int) -> Iterator[np.ndarray]:
     size = max(1, _BLOCK_CELLS // r)
     subsets = combinations(range(n), k)
     while block := list(islice(subsets, size)):
-        yield np.array(block, dtype=np.intp).reshape(len(block), k)
+        flat = np.fromiter(chain.from_iterable(block), np.intp,
+                           count=len(block) * k)
+        yield flat.reshape(len(block), k)
 
 
 def _kept_codes(grid: np.ndarray, d: int, subsets: np.ndarray) -> np.ndarray:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -142,72 +143,67 @@ def _strip_comments(text: str) -> str:
     return "\n".join(out)
 
 
+#: One ket term at the current position, every part optional so that a
+#: malformed term still matches and its first missing part has a position:
+#: sign and the space after it, phase tag (or a lone "e" opening a
+#: malformed one), angle, "|", word, ">", and the space before the next
+#: term.
+_KET_TERM = re.compile(r"([+-]\s*)?(e\^\{i([^}]*)\}|e)?(\|?)([0-9a-z]*)(>?)\s*")
+
+
+def _ket_terms(text: str) -> List[Tuple[str, complex]]:
+    """The (word, phase) terms of ket text in text order; ParseError, with
+    the line and column of the first fault, for malformed text."""
+    source = _strip_comments(text)
+    terms = []
+
+    def fail(message: str, p: int):
+        line = source.count("\n", 0, p) + 1
+        col = p - (source.rfind("\n", 0, p) + 1) + 1
+        raise ParseError(message, line, col)
+
+    pos = len(source) - len(source.lstrip())
+    while pos < len(source):
+        term = _KET_TERM.match(source, pos)
+        sign, tag, angle_text, bar, word, close = term.groups()
+        sign = -1.0 if sign and sign[0] == "-" else 1.0
+        phase = complex(sign)
+        if tag == "e":
+            fail("malformed phase tag; expected e^{i<angle>}", term.start(2))
+        if angle_text is not None:
+            try:
+                angle = float(angle_text)
+            except ValueError:
+                fail(f"bad angle {angle_text!r}", term.start(3))
+            phase = sign * cmath.exp(1j * angle)
+        if not bar:
+            fail("expected '|' opening a ket", term.start(4))
+        if not word:
+            fail("empty ket word", term.start(5))
+        if not close:
+            fail("expected '>' closing the ket", term.start(6))
+        terms.append((word, phase))
+        pos = term.end()
+    return terms
+
+
 def parse_ket(text: str, levels: Optional[int] = None) -> PureState:
     """Parse ket text into a state.
 
     The level count is inferred as (largest symbol + 1, at least 2) unless
     given explicitly.
     """
-    source = _strip_comments(text)
-    terms = []
-    pos = 0
-    size = len(source)
-
-    def location(p: int) -> Tuple[int, int]:
-        line = source.count("\n", 0, p) + 1
-        col = p - (source.rfind("\n", 0, p) + 1) + 1
-        return line, col
-
-    def fail(message: str, p: int):
-        line, col = location(p)
-        raise ParseError(message, line, col)
-
-    while True:
-        while pos < size and source[pos].isspace():
-            pos += 1
-        if pos >= size:
-            break
-        sign = 1.0
-        if source[pos] in "+-":
-            sign = 1.0 if source[pos] == "+" else -1.0
-            pos += 1
-            while pos < size and source[pos].isspace():
-                pos += 1
-        phase = complex(sign)
-        if pos < size and source[pos] == "e":
-            end = source.find("}", pos)
-            if not source.startswith("e^{i", pos) or end == -1:
-                fail("malformed phase tag; expected e^{i<angle>}", pos)
-            angle_text = source[pos + 4:end]
-            try:
-                angle = float(angle_text)
-            except ValueError:
-                fail(f"bad angle {angle_text!r}", pos + 4)
-            phase = sign * cmath.exp(1j * angle)
-            pos = end + 1
-        if pos >= size or source[pos] != "|":
-            fail("expected '|' opening a ket", pos)
-        pos += 1
-        start = pos
-        while pos < size and source[pos] in _DIGIT_VALUE:
-            pos += 1
-        if pos == start:
-            fail("empty ket word", pos)
-        if pos >= size or source[pos] != ">":
-            fail("expected '>' closing the ket", pos)
-        word = source[start:pos]
-        pos += 1
-        terms.append((word, phase))
-
+    terms = _ket_terms(text)
     if not terms:
         raise ParseError("no ket terms found", 1, 1)
-    n = len(terms[0][0])
-    for word, _ in terms:
-        if len(word) != n:
-            raise ParseError(f"word {word!r} has length {len(word)}, "
-                             f"expected {n}")
+    words = next(zip(*terms))
+    n = len(words[0])
+    if set(map(len, words)) != {n}:
+        word = next(w for w in words if len(w) != n)
+        raise ParseError(f"word {word!r} has length {len(word)}, "
+                         f"expected {n}")
     # digit characters sort as their values
-    inferred = max(2, _DIGIT_VALUE[max("".join(w for w, _ in terms))] + 1)
+    inferred = max(2, _DIGIT_VALUE[max(map(max, words))] + 1)
     d = levels if levels is not None else inferred
     return PureState(n, d, tuple(terms))
 

@@ -20,7 +20,7 @@ that holds a failing one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -301,8 +301,7 @@ def is_maximally_mixed(rho: DensityMatrix,
     return MixednessResult(deviation <= tol, deviation)
 
 
-@dataclass(frozen=True)
-class SubsetReport:
+class SubsetReport(NamedTuple):
     """Status of one kept subset; labels are 1-based (see report note)."""
 
     kept_labels: Tuple[int, ...]
@@ -326,21 +325,22 @@ def uniformity(state: PureState, k: int,
                tol: float = DEFAULT_TOL) -> UniformityReport:
     """Check every C(N, k) kept subset; certified iff all are maximally
     mixed.  Each subset is certified sparsely; only a failing subset of
-    dimension <= 64 gets a dense reduction, for its exact eigenvalues."""
-    reports = []
-    for subsets, deviations in _deviations(state, k, tol):
-        for kept, deviation in zip(subsets.tolist(), deviations.tolist()):
-            ok = deviation <= tol
-            eigenvalues = None
-            if not ok and state.levels ** k <= EIGENVALUE_DIM_LIMIT:
-                rho = reduce(state, kept)
-                eigenvalues = tuple(float(v)
-                                    for v in jacobi_eigvalsh(rho.data))
-            reports.append(SubsetReport(tuple(c + 1 for c in kept), ok,
-                                        deviation, eigenvalues))
-    certified = all(s.maximally_mixed for s in reports)
-    return UniformityReport(state.qudits, state.levels, k, tol, certified,
-                            tuple(reports))
+    dimension <= 64 gets a dense reduction, for its exact eigenvalues.
+    The records are built in bulk from the concatenated blocks."""
+    subsets, deviations = map(np.concatenate,
+                              zip(*_deviations(state, k, tol)))
+    ok = deviations <= tol
+    eigenvalues = [None] * len(ok)
+    if state.levels ** k <= EIGENVALUE_DIM_LIMIT:
+        for i in np.flatnonzero(~ok).tolist():
+            rho = reduce(state, subsets[i])
+            eigenvalues[i] = tuple(jacobi_eigvalsh(rho.data).tolist())
+    # tuple.__new__ makes each record with no Python frame per subset
+    labels = map(tuple, (subsets + 1).tolist())
+    reports = map(partial(tuple.__new__, SubsetReport),
+                  zip(labels, ok.tolist(), deviations.tolist(), eigenvalues))
+    return UniformityReport(state.qudits, state.levels, k, tol,
+                            bool(ok.all()), tuple(reports))
 
 
 def _is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> bool:

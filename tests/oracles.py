@@ -5,7 +5,9 @@ shares no code with the library under test: naive tuple-counting for array
 strength, a dense state-vector partial trace, a literal outer-product partial
 trace for very small systems, and brute-force sign search.  Where a
 well-tested third-party routine exists (numpy's eigensolver, sympy's
-irreducibility test) the oracle defers to it.
+irreducibility test) the oracle defers to it.  The one exception is
+`per_subset_report`, which checks only how the library assembles its
+uniformity report and so takes the numbers it assembles from the library.
 """
 
 from __future__ import annotations
@@ -405,6 +407,71 @@ def string_ket(state):
 
 
 # ---------------------------------------------------------------------------
+# ket text, one character at a time
+# ---------------------------------------------------------------------------
+
+class KetSyntaxError(ValueError):
+    """Malformed ket text: the message and the 1-based line and column the
+    library's ParseError reports."""
+
+    def __init__(self, message, line, column):
+        super().__init__(message)
+        self.message, self.line, self.column = message, line, column
+
+
+def scan_ket(text):
+    """The (word, phase) terms of ket text in text order, read by a
+    character-at-a-time scanner; raises KetSyntaxError at the first fault."""
+    source = "\n".join(line.partition("#")[0] for line in text.splitlines())
+    terms = []
+    pos = 0
+    size = len(source)
+
+    def fail(message, p):
+        line = source.count("\n", 0, p) + 1
+        col = p - (source.rfind("\n", 0, p) + 1) + 1
+        raise KetSyntaxError(message, line, col)
+
+    while True:
+        while pos < size and source[pos].isspace():
+            pos += 1
+        if pos >= size:
+            break
+        sign = 1.0
+        if source[pos] in "+-":
+            sign = 1.0 if source[pos] == "+" else -1.0
+            pos += 1
+            while pos < size and source[pos].isspace():
+                pos += 1
+        phase = complex(sign)
+        if pos < size and source[pos] == "e":
+            end = source.find("}", pos)
+            if not source.startswith("e^{i", pos) or end == -1:
+                fail("malformed phase tag; expected e^{i<angle>}", pos)
+            angle_text = source[pos + 4:end]
+            try:
+                angle = float(angle_text)
+            except ValueError:
+                fail(f"bad angle {angle_text!r}", pos + 4)
+            phase = sign * cmath.exp(1j * angle)
+            pos = end + 1
+        if pos >= size or source[pos] != "|":
+            fail("expected '|' opening a ket", pos)
+        pos += 1
+        start = pos
+        while pos < size and source[pos] in DIGITS36:
+            pos += 1
+        if pos == start:
+            fail("empty ket word", pos)
+        if pos >= size or source[pos] != ">":
+            fail("expected '>' closing the ket", pos)
+        word = source[start:pos]
+        pos += 1
+        terms.append((word, phase))
+    return terms
+
+
+# ---------------------------------------------------------------------------
 # partial traces
 # ---------------------------------------------------------------------------
 
@@ -522,6 +589,43 @@ def maximally_mixed_ok(terms, n, d, k, tol=1e-9):
         if np.max(np.abs(rho - eye)) > tol:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# uniformity reports, one record at a time
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SubsetReport:
+    """The per-subset record as a frozen dataclass, with the field names,
+    default and repr of the library's record."""
+
+    kept_labels: tuple
+    maximally_mixed: bool
+    deviation: float
+    eigenvalues: object = None
+
+
+def per_subset_report(state, k, tol=1e-9):
+    """(certified, records) of a state's k-uniformity report, one record
+    per subset built in a Python loop.  Only the record assembly is under
+    test here: the deviation blocks, reductions and eigenvalues come from
+    the library itself (its kernels are checked by the other oracles)."""
+    from kuniform.linalg import jacobi_eigvalsh
+    from kuniform.states import EIGENVALUE_DIM_LIMIT, _deviations, reduce
+
+    reports = []
+    for subsets, deviations in _deviations(state, k, tol):
+        for kept, deviation in zip(subsets.tolist(), deviations.tolist()):
+            ok = deviation <= tol
+            eigenvalues = None
+            if not ok and state.levels ** k <= EIGENVALUE_DIM_LIMIT:
+                rho = reduce(state, kept)
+                eigenvalues = tuple(float(v)
+                                    for v in jacobi_eigvalsh(rho.data))
+            reports.append(SubsetReport(tuple(c + 1 for c in kept), ok,
+                                        deviation, eigenvalues))
+    return all(s.maximally_mixed for s in reports), tuple(reports)
 
 
 # ---------------------------------------------------------------------------

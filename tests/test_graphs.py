@@ -1,6 +1,7 @@
 """Bipartite-graph certification and serialization of partition graphs."""
 
 import json
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from kuniform import (
     to_dot,
     to_json,
 )
+from kuniform import PureState, TooLarge
 
 
 def load_ket(fixtures_dir, name):
@@ -254,3 +256,29 @@ def test_graph_from_json_rejects_inconsistent_documents(fixtures_dir, change):
     doc.update(change)
     with pytest.raises(ParseError):
         graph_from_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# size guard on the vertex and adjacency listings
+# ---------------------------------------------------------------------------
+
+def test_oversized_adjacency_raises_before_allocating():
+    graph = graph_from_state(state_from_oa(bush_oa(8, 3)), [0, 2])
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"8\*\*9-cell adjacency"):
+        adjacency(graph)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_oversized_vertex_listing_raises():
+    state = PureState(7, 36, [("0000000", 1.0)])
+    one_kept = graph_from_state(state, [0])
+    six_kept = graph_from_state(state, range(6))
+    assert len(one_kept.vertices_a) == 36
+    for listing in (lambda: one_kept.vertices_b,
+                    lambda: six_kept.vertices_a,
+                    lambda: check_rules(six_kept),
+                    lambda: to_json(one_kept),
+                    lambda: to_dot(one_kept)):
+        with pytest.raises(TooLarge, match="listing 2176782336 words"):
+            listing()
