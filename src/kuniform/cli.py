@@ -135,12 +135,14 @@ def oa_verify(file: str, strength: Optional[int]) -> None:
         s = strength
     else:
         s = max_strength(array)
+    # irredundancy at k implies it at every smaller k, so the levels that
+    # hold are 1..t for the largest t <= s that holds
+    t = next((k for k in range(s, 0, -1) if is_irredundant(array, k).ok), 0)
     result = {
         "strength": s,
         "index": array.runs // array.levels ** s,
         "tight": array.runs == rao_min_runs(array.factors, array.levels, s),
-        "irredundant_at": [k for k in range(1, s + 1)
-                           if is_irredundant(array, k).ok],
+        "irredundant_at": list(range(1, t + 1)),
     }
     _echo(jsonlib.dumps(result))
 

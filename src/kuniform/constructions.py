@@ -4,7 +4,10 @@ Hadamard side: Sylvester doubling, Paley type I, Kronecker products,
 normalization, and the order-(kappa) -> OA(kappa, kappa-1, 2, 2) map.
 Field side: the projective-dot-product strength-2 family, the
 polynomial-evaluation index-unity family, and its strength-3 extension for
-power-of-two level counts.  A deterministic picker turns a target system
+power-of-two level counts.  Every generated array is certified without a
+scan over its rows: a Hadamard matrix by H @ H.T = order * I, and a field
+array, the row space {xG} of a generator matrix G, by the rank of G's
+columns.  A deterministic picker turns a target system
 size N >= 6 into a Hadamard order whose derived states are 2-uniform.
 """
 
@@ -20,10 +23,17 @@ from .errors import (
     NotNormalized,
     NotPowerOfTwo,
     ParameterViolation,
+    PostconditionFailed,
     Unsupported,
 )
-from .gf import field_new
-from .oa import OrthogonalArray, remove_columns
+from .gf import FiniteField, field_new
+from .oa import (
+    OrthogonalArray,
+    _certified,
+    _group_rows,
+    _subset_blocks,
+    remove_columns,
+)
 from .states import PureState, state_from_oa
 
 MAX_GRID = 1 << 14  # largest generated run count
@@ -140,29 +150,88 @@ def hadamard(order: int) -> HadamardMatrix:
 
 def hadamard_to_oa(h: HadamardMatrix) -> OrthogonalArray:
     """Drop the first column and map -1 -> 0, +1 -> 1; for a normalized
-    matrix of order kappa >= 4 this is a verified OA(kappa, kappa-1, 2, 2)."""
+    matrix of order kappa >= 4 this is an OA(kappa, kappa-1, 2, 2).
+
+    No scan is needed: the columns of H are orthogonal to each other and to
+    the all-ones first column, which `HadamardMatrix` checked, and that puts
+    each sign pair in any two of them kappa/4 times."""
     if h.order < 4:
         raise ParameterViolation(f"order must be >= 4, got {h.order}")
     if not h.is_normalized:
         raise NotNormalized("normalize the matrix first")
-    return OrthogonalArray((h.as_array()[:, 1:] == 1).astype(np.uint8), 2, 2)
+    return _certified(h.as_array()[:, 1:] == 1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
 # finite-field families
 # ---------------------------------------------------------------------------
 
+def _independent_columns(f: FiniteField, generator: np.ndarray,
+                         k: int) -> bool:
+    """True iff every k columns of the m x N `generator` over GF(q) are
+    linearly independent, which is strength k of its row space {xG}
+    (Hedayat-Sloane-Stufken, Orthogonal Arrays, 1999, ch. 4).
+
+    k <= 2: no column is zero and, each scaled so that its first nonzero
+    entry is 1, no two are equal.  k >= 3: every k-subset of columns has
+    full rank, by Gaussian elimination on a block of (subsets, m, k)
+    stacks at a time; a row is cleared by pivot * row - entry * pivot row,
+    so no inverse is needed.
+    """
+    m, n = generator.shape
+    if k == 0:
+        return True
+    if not generator.any(axis=0).all():
+        return False
+    if k == 1:
+        return True
+    add, neg, mul = f.add_table, f.neg_table, f.mul_table
+    if k == 2:
+        inverse = (mul == 1).argmax(axis=1)
+        lead = generator[(generator != 0).argmax(axis=0), np.arange(n)]
+        scaled = mul[inverse[lead], generator]
+        return len(_group_rows(scaled.T, range(m))[1]) == n + 1
+    for subsets in _subset_blocks(n, k, m * k):
+        stacks = np.moveaxis(generator[:, subsets], 0, 1)
+        every = np.arange(len(stacks))
+        for j in range(k):
+            below = stacks[:, j:, j] != 0
+            if not below.any(axis=1).all():
+                return False
+            p = j + below.argmax(axis=1)
+            pivot_row = stacks[every, p]
+            stacks[every, p] = stacks[every, j]
+            stacks[every, j] = pivot_row
+            scaled = mul[pivot_row[:, j, None, None], stacks[:, j + 1:]]
+            cancel = mul[stacks[:, j + 1:, j, None], pivot_row[:, None]]
+            stacks[:, j + 1:] = add[scaled, neg[cancel]]
+    return True
+
+
+def _linear_oa(f: FiniteField, cells: np.ndarray, m: int,
+               k: int) -> OrthogonalArray:
+    """The array of `cells`, the row space {xG} of an m x N generator G
+    over GF(q) listed with x in ascending code order, certified for
+    strength k by the columns of G.  Row x is xG, so G's rows are the rows
+    at the unit vectors, codes q**i."""
+    generator = cells[f.q ** np.arange(m)]
+    if not _independent_columns(f, generator, k):
+        raise PostconditionFailed(
+            f"generator columns are dependent at strength {k}")
+    return _certified(cells, f.q, k)
+
+
 def _digits(count: int, d: int, width: int) -> np.ndarray:
     """(count, width) base-d digits of 0..count-1, least significant first."""
     return np.arange(count)[:, None] // d ** np.arange(width) % d
 
 
-def _evaluations(d: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+def _evaluations(f: FiniteField, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """(coefficients, values) of the d**k polynomials of degree < k over
     GF(d): row t of `coefficients` holds c_0..c_{k-1}, the base-d digits of
     t, and row t of `values` the polynomial c_0 + c_1 x + ... at each field
     element in encoding order, by Horner's rule on the field's tables."""
-    f = field_new(d)
+    d = f.q
     coefficients = _digits(d ** k, d, k)
     points = np.arange(d)
     values = np.broadcast_to(coefficients[:, k - 1:], (d ** k, d))
@@ -192,7 +261,7 @@ def rao_oa(d: int, n: int) -> OrthogonalArray:
     for i in range(n):
         cells = f.add_table[cells, f.mul_table[vectors[:, i, None],
                                                columns[:, i]]]
-    return OrthogonalArray(cells, d, 2)
+    return _linear_oa(f, cells, n, 2)
 
 
 def bush_oa(d: int, k: int) -> OrthogonalArray:
@@ -207,12 +276,12 @@ def bush_oa(d: int, k: int) -> OrthogonalArray:
         raise ParameterViolation(f"k must be >= 1, got {k}")
     if d < k - 1:
         raise ParameterViolation(f"need d >= k-1, got d={d}, k={k}")
-    field_new(d)  # raises NotPrimePower when d is composite non-power
+    f = field_new(d)  # raises NotPrimePower when d is composite non-power
     if d ** k > MAX_GRID:
         raise ParameterViolation(f"d**k = {d ** k} exceeds {MAX_GRID}")
-    coefficients, values = _evaluations(d, k)
-    return OrthogonalArray(np.column_stack((coefficients[:, k - 1], values)),
-                           d, k)
+    coefficients, values = _evaluations(f, k)
+    return _linear_oa(f, np.column_stack((coefficients[:, k - 1], values)),
+                      k, k)
 
 
 def bush_extended_oa(d: int) -> OrthogonalArray:
@@ -227,9 +296,10 @@ def bush_extended_oa(d: int) -> OrthogonalArray:
         raise NotPowerOfTwo(f"need d = 2**m with m >= 1, got {d}")
     if d ** 3 > MAX_GRID:
         raise ParameterViolation(f"d**3 = {d ** 3} exceeds {MAX_GRID}")
-    coefficients, values = _evaluations(d, 3)
-    return OrthogonalArray(np.column_stack((coefficients[:, 2],
-                                            coefficients[:, 1], values)), d, 3)
+    f = field_new(d)
+    coefficients, values = _evaluations(f, 3)
+    return _linear_oa(f, np.column_stack((coefficients[:, 2],
+                                          coefficients[:, 1], values)), 3, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,9 @@ class OrthogonalArray:
 
     A declared strength is verified at construction time (and the index
     r/d**k must be a positive integer); passing strength=None skips that.
+    So a declared strength is always a proven one: the transformations
+    below carry it to their results by the theorems they rest on, and the
+    constructions prove theirs by a certificate (see `_certified`).
     Row order is significant and preserved: sign-fixing indexes phase
     variables by row position.
     """
@@ -70,12 +73,10 @@ class OrthogonalArray:
         if low < 0 or high >= levels:
             raise SymbolOutOfRange(
                 f"symbol {low if low < 0 else high} outside 0..{levels - 1}")
-        grid = cells.astype(np.min_scalar_type(levels - 1), order="C")
-        grid.flags.writeable = False
-        self.__dict__.update(grid=grid, levels=levels, strength=strength)
+        self._store(cells, levels, strength)
         if strength is not None:
             k = strength
-            r, n = grid.shape
+            r, n = self.grid.shape
             if not 0 <= k <= n:
                 raise ParameterViolation(f"declared strength {k} outside 0..{n}")
             if r % levels ** k != 0:
@@ -83,6 +84,13 @@ class OrthogonalArray:
                     f"{r} runs cannot give an integer index at strength {k}")
             if not verify_strength(self, k):
                 raise NotAnOAAtStrength(f"rows do not have strength {k}")
+
+    def _store(self, cells: np.ndarray, levels: int,
+               strength: Optional[int]) -> None:
+        """Set the fields; `cells` is a valid 2-D grid of symbols."""
+        grid = cells.astype(np.min_scalar_type(levels - 1), order="C")
+        grid.flags.writeable = False
+        self.__dict__.update(grid=grid, levels=levels, strength=strength)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -130,6 +138,17 @@ class OrthogonalArray:
         return f"OA({self.runs},{self.factors},{self.levels},{k})"
 
 
+def _certified(grid: np.ndarray, levels: int,
+               strength: Optional[int]) -> OrthogonalArray:
+    """An array whose strength is already proven, built without the
+    brute-force check.  Only for grids this library made: a transformation
+    of a proven array, or a construction that passed its own certificate.
+    Outside input goes through `OrthogonalArray`."""
+    array = object.__new__(OrthogonalArray)
+    array._store(grid, levels, strength)
+    return array
+
+
 # ---------------------------------------------------------------------------
 # strength / index / irredundancy
 # ---------------------------------------------------------------------------
@@ -162,8 +181,9 @@ def verify_strength(array: OrthogonalArray, k: int) -> bool:
 
 
 def max_strength(array: OrthogonalArray) -> int:
-    """Largest k with verify_strength true (strength is downward closed)."""
-    k = 0
+    """Largest k with verify_strength true (strength is downward closed, so
+    the walk starts at the declared strength, proven at construction)."""
+    k = array.strength or 0
     while k + 1 <= array.factors and verify_strength(array, k + 1):
         k += 1
     return k
@@ -171,9 +191,17 @@ def max_strength(array: OrthogonalArray) -> int:
 
 def oa_index(array: OrthogonalArray, k: int) -> int:
     """lambda = r / d**k; requires the array to actually have strength k."""
-    if not verify_strength(array, k):
+    if not _has_strength(array, k):
         raise NotAnOAAtStrength(f"array does not have strength {k}")
     return array.runs // array.levels ** k
+
+
+def _has_strength(array: OrthogonalArray, k: int) -> bool:
+    """verify_strength(array, k), answered without a scan when the declared
+    (proven) strength is at least k."""
+    if array.strength is not None and 0 <= k <= array.strength:
+        return True
+    return verify_strength(array, k)
 
 
 class IrredundancyWitness(NamedTuple):
@@ -483,7 +511,9 @@ def cecc_singleton_holds(n: int, code_len: int, distance: int, d: int) -> CeccRe
 
 
 # ---------------------------------------------------------------------------
-# transformations
+# transformations: a declared strength is carried by the theorem behind each
+# one (permutations keep it, derive lowers it by one, stacking keeps the
+# minimum), never verified again
 # ---------------------------------------------------------------------------
 
 def remove_columns(array: OrthogonalArray, cols: Iterable[int]) -> OrthogonalArray:
@@ -510,7 +540,7 @@ def derive(array: OrthogonalArray, symbol: int) -> OrthogonalArray:
     if not len(grid):
         raise EmptyResult(f"no rows start with symbol {symbol}")
     declared = None if array.strength is None else max(array.strength - 1, 0)
-    return OrthogonalArray(grid, array.levels, declared)
+    return _certified(grid, array.levels, declared)
 
 
 def _effective_strength(array: OrthogonalArray) -> int:
@@ -518,8 +548,8 @@ def _effective_strength(array: OrthogonalArray) -> int:
 
 
 def juxtapose(arrays: Sequence[OrthogonalArray]) -> OrthogonalArray:
-    """Row-stack arrays with equal (N, d); the result carries the verified
-    minimum of the input strengths."""
+    """Row-stack arrays with equal (N, d); the result carries the minimum of
+    the input strengths (every count of the stack is a sum of counts)."""
     if not arrays:
         raise WrongCount("need at least one array")
     n, d = arrays[0].factors, arrays[0].levels
@@ -527,7 +557,7 @@ def juxtapose(arrays: Sequence[OrthogonalArray]) -> OrthogonalArray:
         if a.factors != n or a.levels != d:
             raise ShapeMismatch("arrays must agree in factors and levels")
     strength = min(_effective_strength(a) for a in arrays)
-    return OrthogonalArray(np.concatenate([a.grid for a in arrays]), d, strength)
+    return _certified(np.concatenate([a.grid for a in arrays]), d, strength)
 
 
 def extend_with_symbol(arrays: Sequence[OrthogonalArray]) -> OrthogonalArray:
@@ -545,7 +575,7 @@ def extend_with_symbol(arrays: Sequence[OrthogonalArray]) -> OrthogonalArray:
     strength = min(_effective_strength(a) for a in arrays)
     grid = np.column_stack((np.repeat(np.arange(d), r),
                             np.concatenate([a.grid for a in arrays])))
-    return OrthogonalArray(grid, d, strength)
+    return _certified(grid, d, strength)
 
 
 def _check_permutation(spec: Sequence[int], size: int, what: str) -> np.ndarray:
@@ -559,12 +589,12 @@ def _check_permutation(spec: Sequence[int], size: int, what: str) -> np.ndarray:
 
 def permute_rows(array: OrthogonalArray, spec: Sequence[int]) -> OrthogonalArray:
     perm = _check_permutation(spec, array.runs, "row")
-    return OrthogonalArray(array.grid[perm], array.levels, array.strength)
+    return _certified(array.grid[perm], array.levels, array.strength)
 
 
 def permute_columns(array: OrthogonalArray, spec: Sequence[int]) -> OrthogonalArray:
     perm = _check_permutation(spec, array.factors, "column")
-    return OrthogonalArray(array.grid[:, perm], array.levels, array.strength)
+    return _certified(array.grid[:, perm], array.levels, array.strength)
 
 
 def permute_levels(array: OrthogonalArray,
@@ -576,5 +606,5 @@ def permute_levels(array: OrthogonalArray,
             f"need one level permutation per column ({n}), got {len(spec)}")
     table = np.stack([_check_permutation(p, array.levels, f"level (column {j})")
                       for j, p in enumerate(spec)])
-    return OrthogonalArray(table[np.arange(n), array.grid], array.levels,
-                           array.strength)
+    return _certified(table[np.arange(n), array.grid], array.levels,
+                      array.strength)

@@ -33,7 +33,7 @@ from .errors import (
     Unsupported,
     UnsupportedMultiplicity,
 )
-from .oa import OrthogonalArray, _group_rows, _subset_cells, verify_strength
+from .oa import OrthogonalArray, _group_rows, _has_strength, _subset_cells
 from .states import PureState, _is_k_uniform, digits_to_word, state_from_oa
 
 EXHAUSTIVE_ROW_LIMIT = 21
@@ -124,7 +124,7 @@ def constraint_system(array: OrthogonalArray, k: int) -> SignConstraintSystem:
     some cell is fed by four or more pairs (not a linear condition).
     """
     n = array.factors
-    if not verify_strength(array, k):
+    if not _has_strength(array, k):
         raise NotAnOAAtStrength(f"array does not have strength {k}")
     if k > n / 2:
         raise ParameterViolation(

@@ -1,6 +1,8 @@
 """The benchmark harness still runs and checks its answers against the
 library: its tracer reads `UniformityReport.subsets` and its workloads read
-every `SubsetReport` field, so a change to the report types shows here."""
+every `SubsetReport` field, so a change to the report types shows here.
+catalog and bush_k3 build arrays through the field constructions and check
+`oa verify` against the theory of each construction."""
 
 import json
 import pathlib
@@ -12,7 +14,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["hadamard_k2", "sign_repair"])
+@pytest.mark.parametrize("workload", ["hadamard_k2", "sign_repair", "catalog",
+                                      "bush_k3"])
 def test_quick_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,

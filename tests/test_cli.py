@@ -8,8 +8,18 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from kuniform import parse_ket, parse_oa_file, write_ket
+from kuniform import (
+    bush_oa,
+    parse_ket,
+    parse_oa_file,
+    rao_min_runs,
+    rao_oa,
+    write_ket,
+    write_oa_file,
+)
 from kuniform.cli import main
+
+import oracles
 
 
 @pytest.fixture()
@@ -53,6 +63,46 @@ def test_oa_verify_explicit_strength(runner, fixtures_dir):
     assert json.loads(result.output)["index"] == 4
     result = invoke(runner, "oa", "verify", path, "--strength", "3")
     assert result.exit_code == 2
+
+
+#: the arrays of the benchmark's catalog workload: (construction, params)
+CATALOG = [(bush_oa, (16, 2)), (rao_oa, (16, 2)), (bush_oa, (8, 3)),
+           (rao_oa, (2, 6)), (rao_oa, (3, 4)), (bush_oa, (13, 2)),
+           (rao_oa, (4, 3)), (bush_oa, (9, 3))]
+
+
+def oracle_verify_output(array, s):
+    """`oa verify` stdout for an array of exact strength s, with
+    irredundancy tried by the oracle at every k (it holds at 1..t for some
+    t <= s)."""
+    r, n, d = array.runs, array.factors, array.levels
+    return json.dumps({
+        "strength": s, "index": r // d ** s,
+        "tight": r == rao_min_runs(n, d, s),
+        "irredundant_at": [k for k in range(1, s + 1) if
+                           oracles.irredundancy_witness(array.rows, k) is None],
+    }) + "\n"
+
+
+def test_oa_verify_fixtures_match_the_oracle(runner, fixtures_dir):
+    # oa_8_5_2_2 is irredundant at 1 only, a strict prefix of 1..s
+    for path in sorted(fixtures_dir.glob("*.oa")):
+        array = parse_oa_file(path.read_text(encoding="utf-8"))
+        s = oracles.naive_max_strength(array.rows, array.levels)
+        result = invoke(runner, "oa", "verify", str(path))
+        assert result.exit_code == 0, path.name
+        assert result.output == oracle_verify_output(array, s), path.name
+
+
+@pytest.mark.parametrize("construct,params", CATALOG)
+def test_oa_verify_catalog_arrays_match_the_oracle(runner, tmp_path,
+                                                   construct, params):
+    array = construct(*params)
+    path = tmp_path / "array.oa"
+    path.write_text(write_oa_file(array))
+    result = invoke(runner, "oa", "verify", str(path))
+    assert result.exit_code == 0
+    assert result.output == oracle_verify_output(array, array.strength)
 
 
 def test_oa_verify_missing_and_malformed_files(runner, tmp_path):

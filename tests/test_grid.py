@@ -27,7 +27,9 @@ from kuniform import (
     extend_with_symbol,
     hadamard,
     juxtapose,
+    max_strength,
     normalize,
+    oa_index,
     paley_type1,
     parse_oa_file,
     permute_columns,
@@ -135,7 +137,9 @@ def test_a_single_repeated_row_is_refused():
     assert state_from_oa(OrthogonalArray(rows[1:], 2)).term_count == 5
 
 
-def test_declared_strength_is_verified_on_every_derived_array(monkeypatch):
+def test_transforms_carry_a_declared_strength_without_verifying(monkeypatch):
+    # the carried strength itself is checked against brute force and the
+    # naive oracle in test_certified.py
     a = bush_oa(3, 2)
     calls = []
 
@@ -144,15 +148,14 @@ def test_declared_strength_is_verified_on_every_derived_array(monkeypatch):
         return False
 
     monkeypatch.setattr(kuniform.oa, "verify_strength", refuse)
-    for transform in (lambda: permute_rows(a, range(a.runs)[::-1]),
-                      lambda: permute_columns(a, [3, 2, 1, 0]),
-                      lambda: permute_levels(a, [[1, 2, 0]] * 4),
-                      lambda: derive(a, 0),
-                      lambda: juxtapose([a, a]),
-                      lambda: extend_with_symbol([a, a, a])):
-        with pytest.raises(NotAnOAAtStrength):
-            transform()
-    assert calls == [2, 2, 2, 1, 2, 2]
+    results = [permute_rows(a, range(a.runs)[::-1]),
+               permute_columns(a, [3, 2, 1, 0]),
+               permute_levels(a, [[1, 2, 0]] * 4),
+               derive(a, 0),
+               juxtapose([a, a]),
+               extend_with_symbol([a, a, a])]
+    assert calls == []
+    assert [b.strength for b in results] == [2, 2, 2, 1, 2, 2]
 
 
 def test_catalog_strength_is_verified_once(monkeypatch):
@@ -170,6 +173,52 @@ def test_catalog_strength_is_verified_once(monkeypatch):
     assert calls == [2]
     with pytest.raises(ParameterMismatch, match="declared strength 3"):
         parse_oa_file(text.replace("oa 9 4 3 2", "oa 9 4 3 3"))
+
+
+def spy_on_verify_strength(monkeypatch):
+    """The k of every verify_strength call from now on, in order."""
+    calls = []
+    real = kuniform.oa.verify_strength
+
+    def spy(array, k):
+        calls.append(k)
+        return real(array, k)
+
+    monkeypatch.setattr(kuniform.oa, "verify_strength", spy)
+    return calls
+
+
+def test_a_declared_strength_answers_strength_queries(monkeypatch,
+                                                      fixtures_dir):
+    a = bush_oa(3, 2)
+    signfix = parse_oa_file(
+        (fixtures_dir / "oa_8_5_2_2_signfix.oa").read_text(encoding="utf-8"))
+    undeclared = OrthogonalArray(signfix.grid, 2)
+    calls = spy_on_verify_strength(monkeypatch)
+    assert (oa_index(a, 2), oa_index(a, 1), oa_index(a, 0)) == (1, 3, 9)
+    system = constraint_system(signfix, 2)
+    assert calls == []
+    assert max_strength(a) == 2 and max_strength(signfix) == 2
+    assert calls == [3, 3]  # one step past each declared strength
+    calls.clear()
+    # above the declared strength, and on undeclared arrays, the rows are
+    # scanned as before, with the same answers and errors
+    with pytest.raises(NotAnOAAtStrength):
+        oa_index(a, 3)
+    with pytest.raises(ParameterViolation):
+        oa_index(a, -1)
+    assert constraint_system(undeclared, 2) == system
+    assert oa_index(undeclared, 2) == 2
+    with pytest.raises(NotAnOAAtStrength):
+        constraint_system(undeclared, 3)
+    assert calls == [3, -1, 2, 2, 3]
+
+
+def test_unpickling_verifies_the_strength_again(monkeypatch):
+    a = bush_oa(3, 2)
+    calls = spy_on_verify_strength(monkeypatch)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert calls == [2]
 
 
 # ---------------------------------------------------------------------------
