@@ -35,6 +35,7 @@ from .errors import (
 from .graphs import graph_from_state, to_dot, to_json
 from .oa import (
     OrthogonalArray,
+    _has_strength,
     derive as derive_array,
     gv_holds,
     is_irredundant,
@@ -43,7 +44,6 @@ from .oa import (
     rao_min_runs,
     remove_columns,
     singleton_max_k,
-    verify_strength,
 )
 from .phases import Infeasible, fix_state
 from .serialize import parse_ket, parse_oa_file, write_ket, write_oa_file
@@ -129,7 +129,7 @@ def oa_verify(file: str, strength: Optional[int]) -> None:
     array = parse_oa_file(_read(file))
     if strength is not None:
         if not 0 <= strength <= array.factors or \
-                not verify_strength(array, strength):
+                not _has_strength(array, strength):
             _echo(f"error: rows do not have strength {strength}", err=True)
             sys.exit(2)
         s = strength

@@ -26,7 +26,7 @@ from .errors import (
     PostconditionFailed,
     Unsupported,
 )
-from .gf import FiniteField, field_new
+from .gf import FiniteField, _digits, _is_prime, field_new
 from .oa import (
     OrthogonalArray,
     _certified,
@@ -79,17 +79,6 @@ def sylvester(m: int) -> HadamardMatrix:
     for _ in range(m):
         cur = np.kron(h2, cur)
     return HadamardMatrix(2 ** m, cur)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def paley_type1(q: int) -> HadamardMatrix:
@@ -221,18 +210,13 @@ def _linear_oa(f: FiniteField, cells: np.ndarray, m: int,
     return _certified(cells, f.q, k)
 
 
-def _digits(count: int, d: int, width: int) -> np.ndarray:
-    """(count, width) base-d digits of 0..count-1, least significant first."""
-    return np.arange(count)[:, None] // d ** np.arange(width) % d
-
-
 def _evaluations(f: FiniteField, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """(coefficients, values) of the d**k polynomials of degree < k over
     GF(d): row t of `coefficients` holds c_0..c_{k-1}, the base-d digits of
     t, and row t of `values` the polynomial c_0 + c_1 x + ... at each field
     element in encoding order, by Horner's rule on the field's tables."""
     d = f.q
-    coefficients = _digits(d ** k, d, k)
+    coefficients = _digits(np.arange(d ** k), d, k)
     points = np.arange(d)
     values = np.broadcast_to(coefficients[:, k - 1:], (d ** k, d))
     for j in range(k - 2, -1, -1):
@@ -254,7 +238,7 @@ def rao_oa(d: int, n: int) -> OrthogonalArray:
     f = field_new(d)  # raises NotPrimePower when d is composite non-power
     if d ** n > MAX_GRID:
         raise ParameterViolation(f"d**n = {d ** n} exceeds {MAX_GRID}")
-    vectors = _digits(d ** n, d, n)
+    vectors = _digits(np.arange(d ** n), d, n)
     first = vectors[np.arange(d ** n), (vectors != 0).argmax(axis=1)]
     columns = vectors[first == 1]
     cells = np.zeros((d ** n, len(columns)), dtype=f.add_table.dtype)

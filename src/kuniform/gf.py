@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Iterator, Sequence, Tuple
+from math import isqrt
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -22,105 +22,85 @@ MAX_ORDER = 1 << 16
 _EAGER_TABLE_MAX = 512
 
 
+def _is_prime(n: int) -> bool:
+    """Trial division by every f with f * f <= n."""
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
 def _prime_power(q: int) -> Tuple[int, int]:
     """Return (p, m) with q = p**m, or raise NotPrimePower."""
     if q < 2:
         raise NotPrimePower(f"field order must be >= 2, got {q}")
-    p = None
-    n = q
-    for cand in range(2, q + 1):
-        if cand * cand > n:
-            break
-        if n % cand == 0:
-            p = cand
-            break
-    if p is None:
-        p = n  # q itself is prime
-    m = 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1:
-        raise NotPrimePower(f"{q} has more than one prime factor")
-    return p, m
+    for m in range(q.bit_length() - 1, 0, -1):
+        p = round(q ** (1 / m))
+        if p ** m == q and _is_prime(p):
+            return p, m
+    raise NotPrimePower(f"{q} has more than one prime factor")
 
 
-def _poly_mod(dividend: Sequence[int], divisor: Sequence[int], p: int) -> Tuple[int, ...]:
-    """Remainder of polynomial division over GF(p); low-degree-first coeffs.
-
-    The divisor must be monic (leading coefficient 1).
-    """
-    rem = list(dividend)
-    dn = len(divisor) - 1
-    while len(rem) > dn:
-        lead = rem[-1] % p
-        if lead:
-            shift = len(rem) - 1 - dn
-            for i in range(dn + 1):
-                rem[shift + i] = (rem[shift + i] - lead * divisor[i]) % p
-        rem.pop()
-    while rem and rem[-1] % p == 0:
-        rem.pop()
-    return tuple(c % p for c in rem)
-
-
-def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= m/2."""
-    m = len(coeffs) - 1
-    for deg in range(1, m // 2 + 1):
-        for tail in product(range(p), repeat=deg):
-            divisor = tuple(tail) + (1,)
-            if not _poly_mod(coeffs, divisor, p):
-                return False
-    return True
+def _digits(codes: np.ndarray, d: int, width: int) -> np.ndarray:
+    """(len(codes), width) base-d digits of the integer vector `codes`,
+    least significant first, in the codes' integer type."""
+    return codes[:, None] // d ** np.arange(width, dtype=codes.dtype) % d
 
 
 def _smallest_irreducible(p: int, m: int) -> Tuple[int, ...]:
-    """Lexicographically smallest irreducible monic degree-m polynomial.
+    """Lexicographically smallest irreducible monic degree-m polynomial,
+    comparing coefficient tuples (c0, ..., c_{m-1}) low-degree-first.
 
-    Candidate tuples (c0, ..., c_{m-1}) are compared low-degree-first, which
-    is exactly the order produced by itertools.product over range(p).
+    A sieve: every product of two monic polynomials of degrees j and
+    m - j, 1 <= j <= m/2, is struck out, each at its rank, the number
+    whose base-p digits from the most significant down are c0..c_{m-1};
+    the lowest rank left is irreducible.
     """
-    for low in product(range(p), repeat=m):
-        coeffs = tuple(low) + (1,)
-        if _is_irreducible(coeffs, p):
-            return coeffs
-    raise AssertionError("an irreducible polynomial exists for every (p, m)")
+    def monic(degree: int) -> np.ndarray:
+        rows = _digits(np.arange(p ** degree, dtype=np.int32), p, degree)
+        return np.column_stack((rows, np.ones(len(rows), dtype=np.int32)))
+
+    reducible = np.zeros(p ** m, dtype=bool)
+    rank_weights = p ** np.arange(m - 1, -1, -1, dtype=np.int32)
+    for j in range(1, m // 2 + 1):
+        g, h = monic(j), monic(m - j)
+        products = np.zeros((len(g), len(h), m + 1), dtype=np.int32)
+        for i in range(j + 1):
+            products[:, :, i:i + m - j + 1] += g[:, None, i, None] * h
+        reducible[(products[..., :m] % p) @ rank_weights] = True
+    rank = np.array([reducible.argmin()], dtype=np.int32)
+    return tuple(_digits(rank, p, m)[0, ::-1].tolist()) + (1,)
 
 
-def _tables(p: int, m: int,
-            modulus: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
-    """The (add, neg, mul) tables of GF(p**m) as read-only numpy arrays.
+def _tables(p: int, m: int, modulus: Tuple[int, ...], a: np.ndarray,
+            b: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """a + b and a * b as len(a) x len(b) tables, and -a as a vector, for
+    the GF(p**m) codes in the integer vectors a and b, in the smallest
+    unsigned type that holds p**m - 1.
 
     Addition and negation act digit by digit modulo p.  a * b is the sum
     over i of a_i * x**i * b; multiplying by x shifts the digits up and
-    folds the one that leaves through the monic modulus.
+    folds the one that leaves through the monic modulus.  The digits keep
+    the integer type of a and b.
     """
-    q = p ** m
-    weights = p ** np.arange(m, dtype=np.int32)
-    digits = np.arange(q, dtype=np.int32)[:, None] // weights % p
-    low = np.array(modulus[:m], dtype=np.int32)
-    shifted = [digits]
+    da, db = _digits(a, p, m), _digits(b, p, m)
+    low = np.array(modulus[:m], dtype=db.dtype)
+    shifted = [db]
     for _ in range(m - 1):
         prev = shifted[-1]
         up = np.zeros_like(prev)
         up[:, 1:] = prev[:, :-1]
         shifted.append((up - prev[:, -1:] * low) % p)
-    products = np.einsum("ai,ibj->abj", digits, np.stack(shifted)) % p
-    dtype = np.min_scalar_type(q - 1)
-    tables = tuple((codes @ weights).astype(dtype)
-                   for codes in ((digits[:, None] + digits) % p,
-                                 -digits % p, products))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    products = np.einsum("ai,ibj->abj", da, np.stack(shifted)) % p
+    weights = p ** np.arange(m, dtype=da.dtype)
+    dtype = np.min_scalar_type(p ** m - 1)
+    return tuple((codes @ weights).astype(dtype)
+                 for codes in ((da[:, None] + db) % p, -da % p, products))
 
 
 class FiniteField:
     """GF(p^m) with integer-encoded elements.  Use :func:`field_new`.
 
     For q <= 512, `add_table`, `neg_table` and `mul_table` are read-only
-    numpy arrays of element codes; for larger q they are None.
+    numpy arrays of element codes; for larger q they are None, and each
+    operation combines its operands' digits on the fly.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "add_table", "neg_table",
@@ -133,61 +113,36 @@ class FiniteField:
         self.modulus = modulus  # low-degree-first, length m+1, monic
         self.add_table = self.neg_table = self.mul_table = None
         if self.q <= _EAGER_TABLE_MAX:
+            codes = np.arange(self.q, dtype=np.int32)
             self.add_table, self.neg_table, self.mul_table = _tables(
-                p, m, modulus)
+                p, m, modulus, codes, codes)
+            for table in (self.add_table, self.neg_table, self.mul_table):
+                table.flags.writeable = False
 
     # -- integer-code arithmetic --------------------------------------------
 
-    def _digits(self, code: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(code % self.p)
-            code //= self.p
-        return out
-
-    def _code(self, digits: Sequence[int]) -> int:
-        code = 0
-        for d in reversed(digits):
-            code = code * self.p + d
-        return code
-
-    def _add_raw(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._code([(x + y) % self.p for x, y in zip(da, db)])
-
-    def _neg_raw(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        return self._code([(-x) % self.p for x in self._digits(a)])
+    def _scalar(self, a: int, b: int) -> Tuple[int, int, int]:
+        """(a + b, -a, a * b) of two codes, with no tables; the digits are
+        int64, since p - 1 squared passes int32 for primes above 46341."""
+        add, neg, mul = _tables(self.p, self.m, self.modulus,
+                                np.array([a], dtype=np.int64),
+                                np.array([b], dtype=np.int64))
+        return int(add[0, 0]), int(neg[0]), int(mul[0, 0])
 
     def add_codes(self, a: int, b: int) -> int:
         if self.add_table is not None:
             return int(self.add_table[a, b])
-        return self._add_raw(a, b)
+        return self._scalar(a, b)[0]
 
     def neg_code(self, a: int) -> int:
         if self.neg_table is not None:
             return int(self.neg_table[a])
-        return self._neg_raw(a)
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        rem = _poly_mod(prod, self.modulus, self.p)
-        return self._code(list(rem) + [0] * (self.m - len(rem)))
+        return self._scalar(a, 0)[1]
 
     def mul_codes(self, a: int, b: int) -> int:
         if self.mul_table is not None:
             return int(self.mul_table[a, b])
-        return self._mul_raw(a, b)
+        return self._scalar(a, b)[2]
 
     def pow_code(self, a: int, e: int) -> int:
         result, base = 1, a

@@ -23,11 +23,10 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (BadSubset, ParameterViolation, ParseError, PhasesPresent,
-                     TooLarge)
+from .errors import BadSubset, ParameterViolation, ParseError, PhasesPresent
 from .oa import OrthogonalArray, _group_rows, is_irredundant, verify_strength
-from .states import (DENSE_BYTES_LIMIT, DIGITS36, PureState, _from_grid,
-                     _text_words, _validated_subset)
+from .states import (DIGITS36, PureState, _from_grid, _require_listable,
+                     _require_proper_k, _text_words, _validated_subset)
 
 _PHASE_EQ_TOL = 1e-12
 
@@ -53,14 +52,6 @@ class BipartiteGraph:
     @property
     def vertices_b(self) -> Tuple[str, ...]:
         return _all_words(self.levels, self.qudits - len(self.kept))
-
-
-def _require_listable(items: int, item_bytes: int, what: str) -> None:
-    """TooLarge, before any allocation, when `items` Python objects of
-    `item_bytes` each would pass DENSE_BYTES_LIMIT."""
-    if items * item_bytes > DENSE_BYTES_LIMIT:
-        raise TooLarge(f"{what} needs about {items * item_bytes} bytes, "
-                       f"over the {DENSE_BYTES_LIMIT}-byte limit")
 
 
 def _all_words(d: int, length: int) -> Tuple[str, ...]:
@@ -115,9 +106,7 @@ def is_k_uniform_by_graphs(state: PureState, k: int) -> bool:
     """Both degree rules on every C(N, k) partition.  Only valid for states
     whose terms share one phase (raises PhasesPresent otherwise).  The
     rules are checked as strength k and irredundancy at k of the words."""
-    n = state.qudits
-    if not 1 <= k <= n - 1:
-        raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
+    _require_proper_k(k, state.qudits)
     _require_common_phase(state)
     array = OrthogonalArray(state.grid, state.levels)
     return verify_strength(array, k) and is_irredundant(array, k).ok
@@ -128,8 +117,7 @@ def graphs_identical(state: PureState, k: int) -> bool:
     pairs -- coincide across all C(N, k) partitions: the words with their
     columns reordered kept-first are one set for every partition."""
     n = state.qudits
-    if not 1 <= k <= n - 1:
-        raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
+    _require_proper_k(k, n)
     _require_common_phase(state)
     grid = state.grid
     reference = None

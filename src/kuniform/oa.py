@@ -204,6 +204,10 @@ def _has_strength(array: OrthogonalArray, k: int) -> bool:
     return verify_strength(array, k)
 
 
+def _effective_strength(array: OrthogonalArray) -> int:
+    return array.strength if array.strength is not None else max_strength(array)
+
+
 class IrredundancyWitness(NamedTuple):
     removed_columns: Tuple[int, ...]
     row_pair: Tuple[int, int]
@@ -451,8 +455,8 @@ def rao_min_runs(n: int, d: int, k: int) -> int:
 
 def is_tight(array: OrthogonalArray) -> bool:
     """True iff the run count meets the minimal-runs bound at its strength."""
-    k = array.strength if array.strength is not None else max_strength(array)
-    return array.runs == rao_min_runs(array.factors, array.levels, k)
+    return array.runs == rao_min_runs(array.factors, array.levels,
+                                      _effective_strength(array))
 
 
 @dataclass(frozen=True)
@@ -541,10 +545,6 @@ def derive(array: OrthogonalArray, symbol: int) -> OrthogonalArray:
         raise EmptyResult(f"no rows start with symbol {symbol}")
     declared = None if array.strength is None else max(array.strength - 1, 0)
     return _certified(grid, array.levels, declared)
-
-
-def _effective_strength(array: OrthogonalArray) -> int:
-    return array.strength if array.strength is not None else max_strength(array)
 
 
 def juxtapose(arrays: Sequence[OrthogonalArray]) -> OrthogonalArray:

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import NotAnOAAtStrength, ParameterMismatch, ParseError, Unsupported
-from .oa import OrthogonalArray, max_strength
+from .oa import OrthogonalArray, _effective_strength
 from .states import (DIGITS36, PureState, _BYTE_VALUE, _DIGIT_BYTES,
                      _DIGIT_VALUE, _text_words)
 
@@ -125,7 +125,7 @@ def write_oa_file(array: OrthogonalArray) -> str:
     if array.levels > len(DIGITS36):
         raise Unsupported(
             f"catalog files encode at most {len(DIGITS36)} levels")
-    k = array.strength if array.strength is not None else max_strength(array)
+    k = _effective_strength(array)
     lines = np.full((array.runs, array.factors + 1), ord("\n"), dtype=np.uint8)
     lines[:, :-1] = _DIGIT_BYTES[array.grid]
     return (f"oa {array.runs} {array.factors} {array.levels} {k}\n"

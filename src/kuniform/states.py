@@ -50,7 +50,8 @@ _BYTE_VALUE[_DIGIT_BYTES] = np.arange(len(DIGITS36))
 #: Largest matrix dimension for which failure eigenvalues are computed.
 EIGENVALUE_DIM_LIMIT = 64
 
-#: Largest dense reduction, in bytes, that `reduce` allocates.
+#: Largest dense reduction, in bytes, that `reduce` allocates, and the
+#: largest listing of Python objects the graph views build.
 DENSE_BYTES_LIMIT = 1 << 30
 
 #: Default entrywise tolerance for maximal-mixedness checks.
@@ -207,8 +208,20 @@ def state_from_oa(array: OrthogonalArray,
     return _from_grid(array.grid, array.levels, phases)
 
 
-def _validated_subset(keep: Sequence[int], n: int, *,
-                      proper: bool = True) -> Tuple[int, ...]:
+def _require_listable(items: int, item_bytes: int, what: str) -> None:
+    """TooLarge, before any allocation, when `items` objects of
+    `item_bytes` each would pass DENSE_BYTES_LIMIT."""
+    if items * item_bytes > DENSE_BYTES_LIMIT:
+        raise TooLarge(f"{what} needs about {items * item_bytes} bytes, "
+                       f"over the {DENSE_BYTES_LIMIT}-byte limit")
+
+
+def _require_proper_k(k: int, n: int) -> None:
+    if not 1 <= k <= n - 1:
+        raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
+
+
+def _validated_subset(keep: Sequence[int], n: int) -> Tuple[int, ...]:
     cols = [int(c) for c in keep]
     if not cols:
         raise BadSubset("kept subset is empty")
@@ -216,7 +229,7 @@ def _validated_subset(keep: Sequence[int], n: int, *,
         raise BadSubset(f"repeated columns in {cols}")
     if any(not 0 <= c < n for c in cols):
         raise BadSubset(f"columns {cols} outside 0..{n - 1}")
-    if proper and len(cols) == n:
+    if len(cols) == n:
         raise BadSubset("kept subset must be a proper subset")
     return tuple(sorted(cols))
 
@@ -234,9 +247,7 @@ def reduce(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     kept = _validated_subset(keep, n)
     dropped = [i for i in range(n) if i not in kept]
     dim = d ** len(kept)
-    if 16 * dim * dim > DENSE_BYTES_LIMIT:
-        raise TooLarge(f"a {dim} x {dim} reduction needs {16 * dim * dim} "
-                       f"bytes, over the {DENSE_BYTES_LIMIT}-byte limit")
+    _require_listable(dim * dim, 16, f"a {dim} x {dim} reduction")
     grid, phases = state.grid, state.phase_vector
     codes = _kept_codes(grid, d, np.array([kept]))[0]
 
@@ -263,8 +274,7 @@ def _deviations(state: PureState, k: int,
     or tol raise ParameterViolation when iteration starts.
     """
     n, d, r = state.qudits, state.levels, state.term_count
-    if not 1 <= k <= n - 1:
-        raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
+    _require_proper_k(k, n)
     if tol <= 0:
         raise ParameterViolation("tol must be positive")
     grid, phases = state.grid, state.phase_vector

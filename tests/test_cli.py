@@ -17,6 +17,8 @@ from kuniform import (
     write_ket,
     write_oa_file,
 )
+import kuniform.cli as cli_module
+import kuniform.oa as oa_module
 from kuniform.cli import main
 
 import oracles
@@ -63,6 +65,33 @@ def test_oa_verify_explicit_strength(runner, fixtures_dir):
     assert json.loads(result.output)["index"] == 4
     result = invoke(runner, "oa", "verify", path, "--strength", "3")
     assert result.exit_code == 2
+
+
+def test_oa_verify_strength_within_the_header_is_not_scanned_again(
+        runner, tmp_path, monkeypatch):
+    # parse_oa_file proves the header's strength, so --strength k at or
+    # below it needs no second verify_strength scan; above it still scans
+    array = rao_oa(3, 3)
+    path = tmp_path / "rao.oa"
+    path.write_text(write_oa_file(array))
+    calls = []
+    real = oa_module.verify_strength
+
+    def spy(arr, k):
+        calls.append(k)
+        return real(arr, k)
+
+    for module in (oa_module, cli_module):
+        monkeypatch.setattr(module, "verify_strength", spy, raising=False)
+    for k in (0, 1, 2):
+        calls.clear()
+        result = invoke(runner, "oa", "verify", str(path), "--strength", str(k))
+        assert (result.exit_code, calls) == (0, [2])
+        assert result.output == oracle_verify_output(array, k)
+    calls.clear()
+    result = invoke(runner, "oa", "verify", str(path), "--strength", "3")
+    assert (result.exit_code, calls) == (2, [2, 3])
+    assert result.output == "error: rows do not have strength 3\n"
 
 
 #: the arrays of the benchmark's catalog workload: (construction, params)

@@ -19,7 +19,7 @@ from kuniform import (
 )
 from kuniform.gf import MAX_ORDER
 
-from oracles import sympy_irreducible
+from oracles import _poly_mul_mod, gf_tables, sympy_irreducible
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
 
@@ -46,10 +46,14 @@ def test_eager_tables_equal_digit_arithmetic():
     assert len(orders) == 27
     for q in orders:
         f = field_new(q)
+        _, add_want, mul_want = gf_tables(q)
+        assert f.add_table.tolist() == add_want
+        assert f.mul_table.tolist() == mul_want
+        assert f.neg_table.tolist() == [row.index(0) for row in add_want]
         for a in range(q):
-            assert f.neg_code(a) == f._neg_raw(a)
-            assert [f.add_codes(a, b) for b in range(q)] == [
-                f._add_raw(a, b) for b in range(q)]
+            assert f.neg_code(a) == add_want[a].index(0)
+            assert [f.add_codes(a, b) for b in range(q)] == add_want[a]
+            assert [f.mul_codes(a, b) for b in range(q)] == mul_want[a]
 
 
 def test_elements_enumerate_codes_in_order():
@@ -66,7 +70,7 @@ def test_modulus_is_smallest_irreducible_in_low_degree_first_order():
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
-                                 (5, 2), (7, 2)])
+                                 (5, 2), (7, 2), (2, 9), (3, 5), (23, 2)])
 def test_modulus_matches_independent_irreducibility_oracle(p, m):
     field = field_new(p ** m)
     low = field.modulus[:-1]
@@ -171,22 +175,47 @@ def test_nonzero_elements_form_a_cyclic_group():
         assert (q - 1) in orders
 
 
+def _assert_sampled_ops_match_polynomials(q, samples, seed):
+    """add, neg and mul of `samples` random code pairs of GF(q) against
+    digit-wise addition and oracles._poly_mul_mod with the field's own
+    modulus, which must be irreducible."""
+    f = field_new(q)
+    p, m = f.p, f.m
+    assert len(f.modulus) == m + 1 and f.modulus[-1] == 1
+    assert sympy_irreducible(list(f.modulus), p)
+
+    def digits(code):
+        return [code // p ** i % p for i in range(m)]
+
+    def code(ds):
+        return sum(v * p ** i for i, v in enumerate(ds))
+
+    rng = random.Random(seed)
+    for _ in range(samples):
+        a, b = rng.randrange(q), rng.randrange(q)
+        da, db = digits(a), digits(b)
+        got = (f.add_codes(a, b), f.neg_code(a), f.mul_codes(a, b))
+        assert all(type(v) is int for v in got)
+        assert got == (code([(x + y) % p for x, y in zip(da, db)]),
+                       code([-x % p for x in da]),
+                       code(_poly_mul_mod(da, db, f.modulus, p)))
+
+
 def test_mul_table_equals_polynomial_multiplication():
     primes = [p for p in range(2, 65) if all(p % t for t in range(2, p))]
     orders = [q for q in range(2, 65) if sum(q % p == 0 for p in primes) == 1]
     for q in orders:
         f = field_new(q)
-        want = [[f._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        assert f.mul_table.tolist() == want
         assert all(type(f.mul_codes(a, 1)) is int for a in range(q))
-    rng = random.Random(512)
     for q in (256, 512):
-        f = field_new(q)
-        for _ in range(2000):
-            a, b = rng.randrange(q), rng.randrange(q)
-            assert f.mul_codes(a, b) == f._mul_raw(a, b)
-            assert f.add_codes(a, b) == f._add_raw(a, b)
-        assert f.mul_table.shape == (q, q)
+        _assert_sampled_ops_match_polynomials(q, 2000, seed=q)
+        assert field_new(q).mul_table.shape == (q, q)
+
+
+@pytest.mark.parametrize("q", [521, 1024, 2 ** 16, 65521])
+def test_scalar_operations_beyond_the_tables_equal_polynomial_arithmetic(q):
+    assert field_new(q).mul_table is None
+    _assert_sampled_ops_match_polynomials(q, 2000, seed=q)
 
 
 def test_tables_are_read_only_and_absent_beyond_512():
