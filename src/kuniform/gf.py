@@ -100,11 +100,13 @@ class FiniteField:
 
     For q <= 512, `add_table`, `neg_table` and `mul_table` are read-only
     numpy arrays of element codes; for larger q they are None, and each
-    operation combines its operands' digits on the fly.
+    operation computes just its own result: modulo p for a prime q, else
+    on the operands' digits, a product reduced by the digits of x**i mod
+    the modulus (read off `_tables` once per field).
     """
 
     __slots__ = ("p", "m", "q", "modulus", "add_table", "neg_table",
-                 "mul_table")
+                 "mul_table", "_powers")
 
     def __init__(self, p: int, m: int, modulus: Tuple[int, ...]) -> None:
         self.p = p
@@ -112,37 +114,51 @@ class FiniteField:
         self.q = p ** m
         self.modulus = modulus  # low-degree-first, length m+1, monic
         self.add_table = self.neg_table = self.mul_table = None
+        self._powers = None
         if self.q <= _EAGER_TABLE_MAX:
             codes = np.arange(self.q, dtype=np.int32)
             self.add_table, self.neg_table, self.mul_table = _tables(
                 p, m, modulus, codes, codes)
             for table in (self.add_table, self.neg_table, self.mul_table):
                 table.flags.writeable = False
+        elif m > 1:
+            # x**i for i < m is the code p**i, and x**(m-1) times those
+            # gives x**i up to 2m - 2, the highest power in a product
+            units = p ** np.arange(m, dtype=np.int64)
+            _, _, high = _tables(p, m, modulus, units, units[-1:])
+            self._powers = _digits(np.concatenate(
+                (units, high[1:, 0].astype(np.int64))), p, m)
 
     # -- integer-code arithmetic --------------------------------------------
 
-    def _scalar(self, a: int, b: int) -> Tuple[int, int, int]:
-        """(a + b, -a, a * b) of two codes, with no tables; the digits are
-        int64, since p - 1 squared passes int32 for primes above 46341."""
-        add, neg, mul = _tables(self.p, self.m, self.modulus,
-                                np.array([a], dtype=np.int64),
-                                np.array([b], dtype=np.int64))
-        return int(add[0, 0]), int(neg[0]), int(mul[0, 0])
+    def _operands(self, *codes: int) -> np.ndarray:
+        return _digits(np.array(codes, dtype=np.int64), self.p, self.m)
+
+    def _code(self, digits: np.ndarray) -> int:
+        """The code of a digit vector, each digit taken modulo p."""
+        return int(digits % self.p @ self.p ** np.arange(self.m))
 
     def add_codes(self, a: int, b: int) -> int:
         if self.add_table is not None:
             return int(self.add_table[a, b])
-        return self._scalar(a, b)[0]
+        if self.m == 1:
+            return (int(a) + int(b)) % self.p
+        return self._code(self._operands(a, b).sum(axis=0))
 
     def neg_code(self, a: int) -> int:
         if self.neg_table is not None:
             return int(self.neg_table[a])
-        return self._scalar(a, 0)[1]
+        if self.m == 1:
+            return -int(a) % self.p
+        return self._code(-self._operands(a)[0])
 
     def mul_codes(self, a: int, b: int) -> int:
         if self.mul_table is not None:
             return int(self.mul_table[a, b])
-        return self._scalar(a, b)[2]
+        if self.m == 1:
+            return int(a) * int(b) % self.p
+        da, db = self._operands(a, b)
+        return self._code(np.convolve(da, db) @ self._powers)
 
     def pow_code(self, a: int, e: int) -> int:
         result, base = 1, a

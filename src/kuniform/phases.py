@@ -20,7 +20,8 @@ on at most k columns, all kept, grouped per (subset, cell).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from itertools import tee
+from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -116,13 +117,9 @@ def _cells(array: OrthogonalArray, k: int):
             yield kept, cell, pairs
 
 
-def constraint_system(array: OrthogonalArray, k: int) -> SignConstraintSystem:
-    """Extract the parity constraints for all kept k-subsets.
-
-    Raises OddContributions when some cell is fed by an odd number of row
-    pairs (no +/-1 assignment can cancel it) and UnsupportedMultiplicity when
-    some cell is fed by four or more pairs (not a linear condition).
-    """
+def _checked_cells(array: OrthogonalArray, k: int) -> Iterator[tuple]:
+    """`constraint_system`'s checks of the array and k, made at once; then
+    the cells of `_cells`, lazily, so that a raising cell ends the walk."""
     n = array.factors
     if not _has_strength(array, k):
         raise NotAnOAAtStrength(f"array does not have strength {k}")
@@ -131,9 +128,15 @@ def constraint_system(array: OrthogonalArray, k: int) -> SignConstraintSystem:
             f"sign fixing requires k <= N/2, got k={k}, N={n}")
     if len(_group_rows(array.grid, range(n))[1]) <= array.runs:
         raise DuplicateRows("array has repeated rows")
+    return _cells(array, k)
 
+
+def _system(array: OrthogonalArray,
+            cells: Iterable[tuple]) -> SignConstraintSystem:
+    """The parity constraints of `_checked_cells`' cells; the first cell
+    that is fed by an odd number or by four or more pairs raises."""
     constraints = []
-    for kept, cell, pairs in _cells(array, k):
+    for kept, cell, pairs in cells:
         if len(pairs) % 2 == 1:
             raise OddContributions(
                 f"cell {cell} of kept subset {kept} receives {len(pairs)} "
@@ -148,6 +151,16 @@ def constraint_system(array: OrthogonalArray, k: int) -> SignConstraintSystem:
             odd_vars.symmetric_difference_update({v})
         constraints.append(SignConstraint(tuple(sorted(odd_vars)), 1, kept, cell))
     return SignConstraintSystem(array.runs, tuple(constraints))
+
+
+def constraint_system(array: OrthogonalArray, k: int) -> SignConstraintSystem:
+    """Extract the parity constraints for all kept k-subsets.
+
+    Raises OddContributions when some cell is fed by an odd number of row
+    pairs (no +/-1 assignment can cancel it) and UnsupportedMultiplicity when
+    some cell is fed by four or more pairs (not a linear condition).
+    """
+    return _system(array, _checked_cells(array, k))
 
 
 def solve_signs(system: SignConstraintSystem) -> Union[SignSolution, _InfeasibleType]:
@@ -195,13 +208,13 @@ def solve_signs(system: SignConstraintSystem) -> Union[SignSolution, _Infeasible
     return solution
 
 
-def _exhaustive_search(array: OrthogonalArray,
-                       k: int) -> Union[PureState, _InfeasibleType]:
+def _exhaustive_search(array: OrthogonalArray, cells: Iterable[tuple]
+                       ) -> Union[PureState, _InfeasibleType]:
     """Search all 2**(r-1) sign vectors (alpha_0 = 0) for one cancelling
-    every off-diagonal cell; vectorized over candidate bitmasks."""
+    every cell of `_checked_cells`; vectorized over candidate bitmasks."""
     r = array.runs
     candidates = np.arange(2 ** (r - 1), dtype=np.uint64) * 2  # bit 0 clear
-    for _, _, pairs in _cells(array, k):
+    for _, _, pairs in cells:
         if candidates.size == 0:
             break
         masks = np.array([(1 << i) | (1 << j) for i, j in pairs], dtype=np.uint64)
@@ -225,13 +238,16 @@ def fix_state(array: OrthogonalArray, k: int) -> Union[PureState, _InfeasibleTyp
     Cells with four or more pairs fall back to exhaustive search for
     r <= 21 rows and raise Unsupported beyond that.
     """
+    # one walk of the cells: the search reads what the system step read
+    # (tee keeps it) and then the rest
+    cells, again = tee(_checked_cells(array, k))
     try:
-        system = constraint_system(array, k)
+        system = _system(array, cells)
     except OddContributions:
         return Infeasible
     except UnsupportedMultiplicity as exc:
         if array.runs <= EXHAUSTIVE_ROW_LIMIT:
-            result = _exhaustive_search(array, k)
+            result = _exhaustive_search(array, again)
             if result is not Infeasible:
                 _require_k_uniform(result, k)
             return result

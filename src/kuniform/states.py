@@ -10,11 +10,14 @@ block of kept subsets at a time (`oa._subset_cells`).  The diagonal of each
 reduction is the kept-word counts, from one sort of the block's kept-word
 codes; the off-diagonal cells come only from the term pairs that differ on
 at most k qudits, all kept, summed per (subset, cell) after one sort of the
-block's pairs.  Memory never depends on d**k.  Dense matrices are built
-only by `reduce` itself (at most DENSE_BYTES_LIMIT bytes), which
-`uniformity` calls just for the exact eigenvalues of a failing subset of
-dimension <= 64.  `max_uniformity` stops after the first block of subsets
-that holds a failing one.
+block's pairs.  Memory never depends on d**k.  Only for the exact
+eigenvalues of failing subsets of dimension <= 64 does `uniformity` build
+dense reductions: a block's failing ones together, from the block's own
+cells, in stacks of at most `oa._BLOCK_CELLS` entries, each stack with one
+eigenvalue call; they equal `reduce`'s entry for entry.  `reduce` (at
+most DENSE_BYTES_LIMIT bytes) is the public one-subset reduction.
+`max_uniformity` stops after the first block of subsets that holds a
+failing one.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import oa
 from .errors import (
     BadSubset,
     DuplicateRows,
@@ -187,16 +191,24 @@ class DensityMatrix:
         if arr.shape != (dim, dim):
             raise ShapeMismatch(
                 f"expected a {dim}x{dim} matrix for {len(kept)} kept columns")
-        if np.max(np.abs(arr - arr.conj().T)) > 1e-12:
-            raise ParameterViolation("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(arr).real - 1.0) > 1e-9 or abs(np.trace(arr).imag) > 1e-9:
-            raise ParameterViolation("trace must equal 1")
+        _require_density(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
     def dimension(self) -> int:
         return self.data.shape[0]
+
+
+def _require_density(data: np.ndarray) -> None:
+    """ParameterViolation unless each matrix of a (..., n, n) stack is
+    Hermitian within 1e-12 and has trace 1 within 1e-9."""
+    skew = np.abs(data - data.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    if (skew > 1e-12).any():
+        raise ParameterViolation("matrix is not Hermitian within 1e-12")
+    trace = data.trace(axis1=-2, axis2=-1)
+    if ((abs(trace.real - 1.0) > 1e-9) | (abs(trace.imag) > 1e-9)).any():
+        raise ParameterViolation("trace must equal 1")
 
 
 def state_from_oa(array: OrthogonalArray,
@@ -261,10 +273,11 @@ def reduce(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(data, kept, d)
 
 
-def _deviations(state: PureState, k: int,
-                tol: float) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(subsets, deviations) for blocks of k-column subsets in lexicographic
-    order: max|rho - I/d**k| of each subset, without forming rho.
+def _deviations(state: PureState, k: int, tol: float
+                ) -> Iterator[Tuple[np.ndarray, ...]]:
+    """(subsets, deviations, sub, u, v) for blocks of k-column subsets in
+    lexicographic order: max|rho - I/d**k| of each subset, without forming
+    rho, and the block's cell incidences as `oa._subset_cells` yields them.
 
     The distinct words make the terms of one dropped-column group differ on
     the kept columns, so the diagonal of rho is the kept-word counts over r
@@ -293,7 +306,64 @@ def _deviations(state: PureState, k: int,
             total = (np.bincount(cell, weights=value.real)
                      + 1j * np.bincount(cell, weights=value.imag))
             np.maximum.at(deviation, sub[bounds[:-1]], np.abs(total) / r)
-        yield subsets, deviation
+        yield subsets, deviation, sub, u, v
+
+
+def _reductions(state: PureState, subsets: np.ndarray, sub: np.ndarray,
+                u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (b, d**k, d**k) stack of the reductions over the b subsets of
+    `subsets`, entry for entry as `reduce` builds each one, from the cell
+    incidences (sub, u, v) of `oa._subset_cells` (sub indexing `subsets`).
+
+    An entry sums the same terms in the same order as `reduce`'s
+    `np.add.at`: the diagonal in row order, and a cell's pairs, listed in
+    dropped-word order since the rows are in word order, with their
+    conjugates at the mirror cell.  So one flat bincount of the real parts
+    and one of the imaginary parts give its entries bit for bit.  Every
+    matrix passes DensityMatrix's checks.
+    """
+    phases, d = state.phase_vector, state.levels
+    b, k = subsets.shape
+    dim = d ** k
+    size = dim * dim
+    codes = _kept_codes(state.grid, d, subsets)
+    cu, cv, first = codes[sub, u], codes[sub, v], sub * size
+    diagonal = codes * (dim + 1) + np.arange(0, b * size, size)[:, None]
+    value = phases[u] * phases[v].conj()
+    index = np.concatenate(
+        (diagonal.ravel(), first + cu * dim + cv, first + cv * dim + cu))
+    weight = np.concatenate(
+        (np.tile(phases * phases.conj(), b), value, value.conj()))
+    data = np.zeros(b * size, dtype=complex)
+    data.real = np.bincount(index, weight.real, len(data))
+    data.imag = np.bincount(index, weight.imag, len(data))
+    data = data.reshape(b, dim, dim)
+    data /= state.term_count
+    _require_density(data)
+    return data
+
+
+def _spectra(state: PureState, subsets: np.ndarray, failing: np.ndarray,
+             sub: np.ndarray, u: np.ndarray, v: np.ndarray
+             ) -> Iterator[Tuple[float, ...]]:
+    """Ascending eigenvalues of the reduction over each subset
+    ``subsets[failing]`` of one block of `_deviations`, whose cell
+    incidences are (sub, u, v); one stacked `jacobi_eigvalsh` per chunk of
+    at most oa._BLOCK_CELLS matrix entries (or of one matrix)."""
+    dim = state.levels ** subsets.shape[1]
+    # renumber the incidences of failing subsets 0, 1, ... (still sorted)
+    slot = np.full(len(subsets), -1)
+    slot[failing] = np.arange(len(failing))
+    sub = slot[sub]
+    keep = sub >= 0
+    sub, u, v = sub[keep], u[keep], v[keep]
+    per_stack = max(1, oa._BLOCK_CELLS // (dim * dim))
+    for start in range(0, len(failing), per_stack):
+        stop = min(start + per_stack, len(failing))
+        lo, hi = np.searchsorted(sub, (start, stop))
+        data = _reductions(state, subsets[failing[start:stop]],
+                           sub[lo:hi] - start, u[lo:hi], v[lo:hi])
+        yield from map(tuple, jacobi_eigvalsh(data).tolist())
 
 
 class MixednessResult(NamedTuple):
@@ -334,17 +404,24 @@ class UniformityReport:
 def uniformity(state: PureState, k: int,
                tol: float = DEFAULT_TOL) -> UniformityReport:
     """Check every C(N, k) kept subset; certified iff all are maximally
-    mixed.  Each subset is certified sparsely; only a failing subset of
-    dimension <= 64 gets a dense reduction, for its exact eigenvalues.
-    The records are built in bulk from the concatenated blocks."""
-    subsets, deviations = map(np.concatenate,
-                              zip(*_deviations(state, k, tol)))
-    ok = deviations <= tol
-    eigenvalues = [None] * len(ok)
-    if state.levels ** k <= EIGENVALUE_DIM_LIMIT:
-        for i in np.flatnonzero(~ok).tolist():
-            rho = reduce(state, subsets[i])
-            eigenvalues[i] = tuple(jacobi_eigvalsh(rho.data).tolist())
+    mixed.  Each subset is certified sparsely.  The failing subsets of
+    dimension <= 64 get their exact eigenvalues: a block's failing
+    reductions are built together from the block's cells and take one
+    stacked eigenvalue call (see `_spectra`).  The records are built in
+    bulk from the concatenated blocks."""
+    spectra = state.levels ** k <= EIGENVALUE_DIM_LIMIT
+    blocks, eigenvalues = [], []
+    for subsets, deviations, *cells in _deviations(state, k, tol):
+        ok = deviations <= tol
+        blocks.append((subsets, deviations, ok))
+        found = [None] * len(subsets)
+        if spectra and not ok.all():
+            failing = np.flatnonzero(~ok)
+            for i, values in zip(failing.tolist(),
+                                 _spectra(state, subsets, failing, *cells)):
+                found[i] = values
+        eigenvalues += found
+    subsets, deviations, ok = map(np.concatenate, zip(*blocks))
     # tuple.__new__ makes each record with no Python frame per subset
     labels = map(tuple, (subsets + 1).tolist())
     reports = map(partial(tuple.__new__, SubsetReport),
@@ -357,7 +434,7 @@ def _is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> bool:
     """uniformity(state, k, tol).certified, stopping after the first block
     of subsets that holds a failing one."""
     return all(bool((deviations <= tol).all())
-               for _, deviations in _deviations(state, k, tol))
+               for _, deviations, *_ in _deviations(state, k, tol))
 
 
 def max_uniformity(state: PureState, tol: float = DEFAULT_TOL) -> int:

@@ -615,7 +615,7 @@ def per_subset_report(state, k, tol=1e-9):
     from kuniform.states import EIGENVALUE_DIM_LIMIT, _deviations, reduce
 
     reports = []
-    for subsets, deviations in _deviations(state, k, tol):
+    for subsets, deviations, *_ in _deviations(state, k, tol):
         for kept, deviation in zip(subsets.tolist(), deviations.tolist()):
             ok = deviation <= tol
             eigenvalues = None

@@ -60,8 +60,9 @@ def test_block_pattern_spectrum():
 
 
 def test_rejects_non_square():
-    with pytest.raises(ShapeMismatch):
-        jacobi_eigvalsh(np.zeros((2, 3)))
+    for shape in [(3,), (2, 3), (2, 2, 3), (4, 3, 2)]:
+        with pytest.raises(ShapeMismatch):
+            jacobi_eigvalsh(np.zeros(shape))
 
 
 def test_rejects_non_hermitian():
@@ -75,3 +76,35 @@ def test_rank_by_eigenvalues():
     proj = np.zeros((3, 3))
     proj[0, 0] = 1.0
     assert rank_by_eigenvalues(proj) == 1
+
+
+def test_stack_equals_each_matrix_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 8, 13):
+        stack = np.array([random_hermitian(n, rng) for _ in range(6)])
+        got = jacobi_eigvalsh(stack)
+        assert got.shape == (6, n)
+        for values, matrix in zip(got, stack):
+            assert ([v.hex() for v in values.tolist()]
+                    == [v.hex() for v in jacobi_eigvalsh(matrix).tolist()])
+    nested = np.array([random_hermitian(4, rng) for _ in range(6)])
+    assert np.array_equal(jacobi_eigvalsh(nested.reshape(2, 3, 4, 4)),
+                          jacobi_eigvalsh(nested).reshape(2, 3, 4))
+
+
+def test_stack_rejects_one_non_hermitian_matrix():
+    rng = np.random.default_rng(6)
+    stack = np.array([random_hermitian(3, rng) for _ in range(4)])
+    stack[2, 0, 1] += 1.0
+    with pytest.raises(ParameterViolation):
+        jacobi_eigvalsh(stack)
+
+
+def test_stack_checks_each_matrix_against_its_own_scale():
+    # the skew 1e-7 is small beside the first matrix's entries but not
+    # beside the second's, so the stack is refused
+    large = np.diag([1e6, 1e6])
+    small = np.array([[1e-3, 1e-7], [0.0, 1e-3]])
+    jacobi_eigvalsh(np.stack([large, large + np.array([[0, 1e-7], [0, 0]])]))
+    with pytest.raises(ParameterViolation):
+        jacobi_eigvalsh(np.stack([large, small]))

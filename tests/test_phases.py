@@ -201,3 +201,18 @@ def test_failed_postconditions_raise_library_errors(fixtures_dir, monkeypatch):
                         lambda self, bits: False)
     with pytest.raises(PostconditionFailed):
         solve_signs(constraint_system(array, 2))
+
+
+def test_fix_state_walks_the_cells_once(monkeypatch):
+    # the exhaustive fallback searches the cells the constraint step listed
+    calls = []
+    real = kuniform.phases._subset_cells
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kuniform.phases, "_subset_cells", counted)
+    state = fix_state(full_factorial(2, 4, strength=4), 1)
+    assert state and uniformity(state, 1).certified
+    assert len(calls) == 1
