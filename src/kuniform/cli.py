@@ -35,10 +35,10 @@ from .errors import (
 from .graphs import graph_from_state, to_dot, to_json
 from .oa import (
     OrthogonalArray,
+    _close_pairs,
     _has_strength,
     derive as derive_array,
     gv_holds,
-    is_irredundant,
     max_strength,
     permute_levels,
     rao_min_runs,
@@ -135,9 +135,11 @@ def oa_verify(file: str, strength: Optional[int]) -> None:
         s = strength
     else:
         s = max_strength(array)
-    # irredundancy at k implies it at every smaller k, so the levels that
-    # hold are 1..t for the largest t <= s that holds
-    t = next((k for k in range(s, 0, -1) if is_irredundant(array, k).ok), 0)
+    # irredundancy at k means no two rows within distance k, so it holds at
+    # 1..t for t = s, or one below the smallest distance of a closer pair
+    grid = array.grid
+    u, v = _close_pairs(grid, s)
+    t = s if not len(u) else max(0, int((grid[u] != grid[v]).sum(1).min()) - 1)
     result = {
         "strength": s,
         "index": array.runs // array.levels ** s,

@@ -9,9 +9,10 @@ subsets, here and in `states` and `phases`.  The
 subsets are taken a block at a time (about 2**15 subset x row cells), and
 each block's kept-word codes are one integer array sorted once along the
 rows: its run lengths are the word counts (strength).  Row pairs that
-differ on at most k columns are found once, without an r x r scan
-(irredundancy, and the off-diagonal reduction cells).  No array has d**k
-entries.
+differ on at most k columns (close pairs: irredundancy, and the
+off-diagonal reduction cells) are found once each, from one sort of the
+rows under k + 1 column blocks, checking about 2**15 candidates at a
+time, without an r x r scan.  No array has d**k entries.
 """
 
 from __future__ import annotations
@@ -262,7 +263,8 @@ def is_irredundant(array: OrthogonalArray, k: int) -> IrredundancyResult:
 # ---------------------------------------------------------------------------
 
 #: Cells (subsets x rows) of one block of kept-word codes; C(N, k) subsets
-#: are certified one block at a time.
+#: are certified one block at a time.  Also the close-pair candidates of one
+#: batch.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -290,19 +292,19 @@ def _group_rows(grid: np.ndarray,
     return order, np.concatenate(([0], starts, [r]))
 
 
-def _pairs(order: np.ndarray,
-           bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _pairs(order: np.ndarray, bounds: np.ndarray, start: int = 0,
+           stop: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Every row pair (u, v) that shares a group of `_group_rows`, u listed
-    before v in the group (so u < v); there are sum(g * (g - 1) / 2)."""
-    if len(bounds) == len(order) + 1:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty
+    before v in the group (so u < v); there are sum(g * (g - 1) / 2).
+    With a range, only the pairs whose u sits at a sorted position in
+    start..stop - 1, so ranges that split the positions split the pairs."""
+    at = np.arange(start, len(order) if stop is None else stop)
     # the row at sorted position p pairs with the rest of its group after p
-    later = (np.repeat(bounds[1:], bounds[1:] - bounds[:-1])
-             - np.arange(len(order)) - 1)
-    first = np.repeat(np.arange(len(order)), later)
-    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    return order[first], order[first + 1 + offset]
+    later = bounds[np.searchsorted(bounds, at, side="right")] - at - 1
+    before = np.cumsum(later) - later  # pairs of the earlier positions
+    first = np.repeat(at, later)
+    second = np.arange(len(first)) + np.repeat(at + 1 - before, later)
+    return order[first], order[second]
 
 
 def _subset_blocks(n: int, k: int, r: int) -> Iterator[np.ndarray]:
@@ -369,21 +371,63 @@ def _word_counts(codes: np.ndarray) -> Tuple[np.ndarray, ...]:
 def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Every row pair (u < v) that differs on at most k columns, once each.
 
-    Split the columns into k + 1 disjoint blocks; two rows that differ on at
-    most k columns agree on all of one block, so they share a `_group_rows`
-    group of it.  Each block's candidates are filtered by distance and kept
-    only if the block is the first one they agree on, so no pair is found
-    twice: O(r log r + candidates) time, never r x r.
+    Split the columns into k + 1 contiguous blocks; two rows that differ on
+    at most k columns agree on all of one block (multi-index hashing:
+    Norouzi, Punjani and Fleet, CVPR 2012).  One `_group_rows` sort of the
+    (k + 1) r keys (block, the row's cells in the block) groups the rows
+    under every block at once.  The candidates, pairs that share a group,
+    are taken `_BLOCK_CELLS` at a time (a sorted position whose partners
+    alone are more is one batch) and filtered by distance, read from the
+    rows packed into 64-bit words; a near pair is kept only under the first
+    block its rows share, so none is found twice.  O(r (k + 1) log r +
+    candidates) time, never r x r, and beyond the result at most one batch
+    of candidates is held.
     """
-    blocks = np.array_split(np.arange(grid.shape[1]), k + 1)
-    found = []
-    for b, cols in enumerate(blocks):
-        u, v = _pairs(*_group_rows(grid, cols))
-        differ = grid[u] != grid[v]
-        near = differ.sum(axis=1) <= k
-        for earlier in blocks[:b]:
-            near &= differ[:, earlier].any(axis=1)
-        found.append((u[near], v[near]))
+    r, n = grid.shape
+    blocks = k + 1
+    size, extra = divmod(n, blocks)  # the first `extra` blocks have one more
+    edges = [b * size + min(b, extra) for b in range(blocks + 1)]
+    # key row b * r + u: block b, then row u's cells in it, zero-padded
+    keys = np.zeros((blocks, r, 1 + size + (extra > 0)),
+                    dtype=np.promote_types(grid.dtype, np.min_scalar_type(k)))
+    keys[:, :, 0] = np.arange(blocks)[:, None]
+    for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        keys[b, :, 1:1 + hi - lo] = grid[:, lo:hi]
+    order, bounds = _group_rows(keys.reshape(blocks * r, -1),
+                                range(keys.shape[2]))
+    sizes = np.diff(bounds)
+    group = np.empty(blocks * r, dtype=np.intp)
+    group[order] = np.repeat(np.arange(len(sizes)), sizes)
+    group = group.reshape(blocks, r)
+    # rows as (words, r) 64-bit words of 8 // itemsize symbol lanes; a lane
+    # of x = a ^ b is nonzero iff ((x & low) + low | x) sets its top bit
+    lanes = 8 // grid.itemsize
+    packed = np.zeros((r, -(-n // lanes) * lanes), dtype=grid.dtype)
+    packed[:, :n] = grid
+    words = np.ascontiguousarray(packed.view(np.uint64).T)
+    bits = 8 * grid.itemsize
+    top = ((1 << 64) // ((1 << bits) - 1)) << (bits - 1)
+    low = top ^ ((1 << 64) - 1)
+    # reach[p]: the candidates of the sorted positions before p
+    reach = np.zeros(blocks * r + 1, dtype=np.intp)
+    np.cumsum(np.repeat(bounds[1:], sizes) - np.arange(blocks * r) - 1,
+              out=reach[1:])
+    none = np.zeros(0, dtype=np.intp)
+    found, start = [(none, none)], 0
+    while start < blocks * r:
+        stop = max(start + 1, int(np.searchsorted(
+            reach, reach[start] + _BLOCK_CELLS, side="right")) - 1)
+        if reach[stop] > reach[start]:
+            key_u, key_v = _pairs(order, bounds, start, stop)
+            block, u = np.divmod(key_u, r)
+            v = key_v - block * r
+            x = words.take(u, axis=1) ^ words.take(v, axis=1)
+            lit = (((x & low) + low) | x) & top
+            near = np.bitwise_count(lit).sum(axis=0) <= k
+            block, u, v = block[near], u[near], v[near]
+            first = (group[:, u] == group[:, v]).argmax(axis=0) == block
+            found.append((u[first], v[first]))
+        start = stop
     return tuple(np.concatenate(side) for side in zip(*found))
 
 

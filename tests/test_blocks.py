@@ -4,6 +4,7 @@ close-pair search, and the certifiers built on them."""
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,19 @@ from kuniform import (
     uniformity,
     verify_strength,
 )
-from kuniform.oa import _close_pairs, _kept_codes, _subset_blocks
+from kuniform.oa import (IrredundancyWitness, _close_pairs, _kept_codes,
+                         _subset_blocks, _subset_cells)
 from kuniform.phases import _cells
 from kuniform.states import _is_k_uniform, digits_to_word
 
-from oracles import close_pairs, naive_strength_ok, sparse_deviation, string_key_cells
+from oracles import (
+    DIGITS36,
+    close_pairs,
+    irredundancy_witness,
+    naive_strength_ok,
+    sparse_deviation,
+    string_key_cells,
+)
 
 
 def load_ket(fixtures_dir, name):
@@ -134,13 +143,54 @@ def test_huge_subset_count_fails_fast():
 # against the oracles
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=200, deadline=None)
-@given(small_arrays(), st.data())
-def test_close_pairs_match_a_plain_pair_scan(array, data):
-    k = data.draw(st.integers(0, array.factors))
-    grid = np.asarray(array.rows, dtype=np.uint8)
-    u, v = _close_pairs(grid, k)
-    assert sorted(zip(u.tolist(), v.tolist())) == close_pairs(array.rows, k)
+#: symbols per grid type: small ones, the top bit of the type's lanes (0x80
+#: is also the top bit of a byte inside a wider lane) and a full lane
+LANE_SYMBOLS = {np.uint8: (0, 1, 0x80, 0xFF),
+                np.uint16: (0, 1, 0x80, 0x8000, 0xFFFF),
+                np.uint32: (0, 1, 0x8000, 2 ** 31, 2 ** 32 - 1),
+                np.uint64: (0, 1, 2 ** 31, 2 ** 63, 2 ** 64 - 1)}
+
+
+@st.composite
+def lane_grids(draw):
+    """(dtype, rows): up to 20 columns, so rows span several 64-bit words
+    and often end inside one, over one to three symbols of the type."""
+    dtype = draw(st.sampled_from(sorted(LANE_SYMBOLS, key=str)))
+    symbols = draw(st.lists(st.sampled_from(LANE_SYMBOLS[dtype]),
+                            min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, 20))
+    row = st.tuples(*[st.sampled_from(symbols)] * n)
+    return dtype, draw(st.lists(row, min_size=1, max_size=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_grids(), st.data())
+def test_close_pairs_match_a_plain_pair_scan(grid_rows, data):
+    # batches of 1, 5 or 64 candidates split the row groups
+    dtype, rows = grid_rows
+    k = data.draw(st.integers(0, len(rows[0])))
+    cells = data.draw(st.sampled_from([1, 5, 64, kuniform.oa._BLOCK_CELLS]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kuniform.oa, "_BLOCK_CELLS", cells)
+        u, v = _close_pairs(np.array(rows, dtype=dtype), k)
+    assert (u < v).all()
+    assert sorted(zip(u.tolist(), v.tolist())) == close_pairs(rows, k)
+
+
+def test_close_pairs_memory_is_bounded_by_its_result():
+    # 12-qubit all-words grid at k = 4: each row has 12 + 66 + 220 + 495
+    # partners; beyond the result only one batch of candidates is held
+    grid = np.array(list(itertools.product((0, 1), repeat=12)), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        u, v = _close_pairs(grid, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(u) == 4096 * 793 // 2
+    assert (u < v).all() and (grid[u] != grid[v]).sum(axis=1).max() == 4
+    assert (np.diff(np.sort(u * 4096 + v)) > 0).all()  # each pair once
+    assert peak <= 3 * (u.nbytes + v.nbytes)
 
 
 @st.composite
@@ -190,3 +240,70 @@ def test_cells_match_string_keys(array, data):
     want = [(kept, cell, sorted(pairs))
             for kept, cell, pairs in string_key_cells(array.rows, k)]
     assert list(_cells(array, k)) == want
+
+
+# ---------------------------------------------------------------------------
+# the close-pair consumers on fixtures and on many-level arrays
+# ---------------------------------------------------------------------------
+
+def column_ranks(rows):
+    """Each symbol replaced by its rank among its column's symbols, which
+    keeps the rows' equalities and the order of their kept words."""
+    ranks = [sorted(set(column)) for column in zip(*rows)]
+    return [tuple(ranks[c].index(x) for c, x in enumerate(row)) for row in rows]
+
+
+def ranked_cells(grid, levels, k, ranks):
+    """`_subset_cells`' incidences as `string_key_cells` lists them, each
+    kept word spelled in the column ranks of its row."""
+    for subsets, _, sub, u, v, bounds in _subset_cells(grid, levels, k):
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            kept = tuple(subsets[sub[start]].tolist())
+            cell = tuple("".join(DIGITS36[ranks[row][c]] for c in kept)
+                         for row in (u[start], v[start]))
+            pairs = sorted((min(i, j), max(i, j)) for i, j in
+                           zip(u[start:stop].tolist(), v[start:stop].tolist()))
+            yield kept, cell, pairs
+
+
+def check_consumers(rows, levels, cells_up_to):
+    """is_irredundant's witnesses at every k, and the cell incidences at
+    k = 1..cells_up_to, against the oracles."""
+    array = OrthogonalArray(rows, levels)
+    for k in range(array.factors + 1):
+        want = irredundancy_witness(rows, k)
+        assert is_irredundant(array, k).witness == (
+            None if want is None else IrredundancyWitness(*want)), k
+    ranks = column_ranks(rows)
+    for k in range(1, cells_up_to + 1):
+        want = [(kept, cell, sorted(pairs))
+                for kept, cell, pairs in string_key_cells(ranks, k)]
+        assert list(ranked_cells(array.grid, levels, k, ranks)) == want, k
+
+
+def test_close_pair_consumers_on_fixtures(fixtures_dir):
+    for path in sorted(fixtures_dir.glob("*.oa")):
+        array = parse_oa_file(path.read_text())
+        check_consumers(array.rows, array.levels, array.factors - 1)
+    for path in sorted(fixtures_dir.glob("*.ket")):
+        state = load_ket(fixtures_dir, path.stem)
+        rows = [tuple(row) for row in state.grid.tolist()]
+        check_consumers(rows, state.levels, min(3, state.qudits - 1))
+
+
+def five_column_rows(*symbols):
+    return st.lists(st.tuples(*[st.sampled_from(symbols)] * 5),
+                    min_size=1, max_size=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(five_column_rows(0, 1, 0x80, 0xFF, 0x100, 299))
+def test_close_pair_consumers_with_300_levels(rows):
+    check_consumers(rows, 300, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(five_column_rows(0, 1, 2 ** 32, 2 ** 39, 2 ** 40 - 1))
+def test_close_pair_consumers_with_2_to_the_40_levels(rows):
+    # witnesses only: `_kept_codes` cannot fold 64-bit symbols into codes
+    check_consumers(rows, 2 ** 40, 0)

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from kuniform import (
     bush_oa,
+    juxtapose,
     parse_ket,
     parse_oa_file,
     rao_min_runs,
@@ -132,6 +133,33 @@ def test_oa_verify_catalog_arrays_match_the_oracle(runner, tmp_path,
     result = invoke(runner, "oa", "verify", str(path))
     assert result.exit_code == 0
     assert result.output == oracle_verify_output(array, array.strength)
+
+
+def test_oa_verify_reads_irredundancy_from_one_close_pair_pass(
+        runner, tmp_path, fixtures_dir, monkeypatch):
+    # neither array is irredundant at its strength: oa_8_4_2_3 (strength 3)
+    # has rows at distance 2, and two stacked copies of bush_oa(3, 2)
+    # repeat every row
+    calls = []
+    real = cli_module._close_pairs
+
+    def spy(grid, k):
+        calls.append(k)
+        return real(grid, k)
+
+    for module in (oa_module, cli_module):
+        monkeypatch.setattr(module, "_close_pairs", spy)
+    bush = bush_oa(3, 2)
+    stacked = tmp_path / "stacked.oa"
+    stacked.write_text(write_oa_file(juxtapose([bush, bush])))
+    for path, s, want in ((fixtures_dir / "oa_8_4_2_3.oa", 3, [1]),
+                          (stacked, 2, [])):
+        calls.clear()
+        result = invoke(runner, "oa", "verify", str(path))
+        assert (result.exit_code, calls) == (0, [s])
+        assert json.loads(result.output)["irredundant_at"] == want
+        array = parse_oa_file(path.read_text(encoding="utf-8"))
+        assert result.output == oracle_verify_output(array, s)
 
 
 def test_oa_verify_missing_and_malformed_files(runner, tmp_path):
