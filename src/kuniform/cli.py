@@ -14,6 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 import click
+import numpy as np
 
 from . import __version__
 from .constructions import (
@@ -137,9 +138,8 @@ def oa_verify(file: str, strength: Optional[int]) -> None:
         s = max_strength(array)
     # irredundancy at k means no two rows within distance k, so it holds at
     # 1..t for t = s, or one below the smallest distance of a closer pair
-    grid = array.grid
-    u, v = _close_pairs(grid, s)
-    t = s if not len(u) else max(0, int((grid[u] != grid[v]).sum(1).min()) - 1)
+    distance = np.bitwise_count(_close_pairs(array.grid, s)[2]).sum(1)
+    t = max(0, int(distance.min()) - 1) if len(distance) else s
     result = {
         "strength": s,
         "index": array.runs // array.levels ** s,

@@ -5,14 +5,15 @@ column subarray contains each k-tuple exactly lambda = r/d**k times.  The
 array type is immutable; transformation functions return new arrays.
 
 The private kernels below serve every scan over the C(N, k) column
-subsets, here and in `states` and `phases`.  The
-subsets are taken a block at a time (about 2**15 subset x row cells), and
-each block's kept-word codes are one integer array sorted once along the
-rows: its run lengths are the word counts (strength).  Row pairs that
-differ on at most k columns (close pairs: irredundancy, and the
-off-diagonal reduction cells) are found once each, from one sort of the
-rows under k + 1 column blocks, checking about 2**15 candidates at a
-time, without an r x r scan.  No array has d**k entries.
+subsets, here and in `states` and `phases`.  The subsets are taken a block
+at a time (about 2**15 subset x row cells), and each block's kept-word
+codes are one integer array sorted once along the rows: its run lengths
+are the word counts (strength).  Row pairs that differ on at most k
+columns (close pairs: irredundancy, and the off-diagonal reduction cells)
+are found once each with the columns they differ on, which every consumer
+reads instead of the rows, by one sort of the rows under k + 1 column
+blocks, checking about 2**15 candidates at a time, without an r x r scan.
+No array has d**k entries.
 """
 
 from __future__ import annotations
@@ -229,21 +230,23 @@ def is_irredundant(array: OrthogonalArray, k: int) -> IrredundancyResult:
     Two rows collide with k columns removed iff they differ on at most k
     columns, so the array is irredundant at k iff `_close_pairs` finds no
     pair.  On failure, the witness carries the lexicographically smallest
-    offending removed-column set and the first duplicated row pair (i < j)
-    under it: j is the first row that repeats an earlier one, and i that
-    earlier row.
+    offending removed-column set, found among the pairs' distinct supports,
+    and the first duplicated row pair (i < j) under it: j is the first row
+    that repeats an earlier one, and i that earlier row.
     """
     n = array.factors
     if not 0 <= k <= n:
         raise ParameterViolation(f"k {k} outside 0..{n}")
     grid = array.grid
-    u, v = _close_pairs(grid, k)
-    if not len(u):
+    support = _close_pairs(grid, k)[2]
+    if not len(support):
         return IrredundancyResult(True)
-    # the smallest removed set holding a pair's differing columns adds the
-    # smallest other columns; among sets of one size, the smallest is the
-    # one whose indicator row is largest read from column 0
-    differ = grid[u] != grid[v]
+    # the smallest removed set holding a support adds the smallest other
+    # columns; among sets of one size, the smallest is the one whose
+    # indicator row is largest read from column 0
+    order, bounds = _group_rows(support, range(support.shape[1]))
+    differ = np.unpackbits(support[order[bounds[:-1]]], axis=1,
+                           count=n).astype(bool)
     spare = k - differ.sum(axis=1)
     removed = differ | (~differ & (np.cumsum(~differ, axis=1)
                                    <= spare[:, None]))
@@ -368,8 +371,10 @@ def _word_counts(codes: np.ndarray) -> Tuple[np.ndarray, ...]:
     return distinct, least, most
 
 
-def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Every row pair (u < v) that differs on at most k columns, once each.
+def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, ...]:
+    """(u, v, support): every row pair (u < v) that differs on at most k
+    columns, once each, and the columns it differs on (its support) as one
+    `np.packbits` row per pair, column 0 the top bit of byte 0.
 
     Split the columns into k + 1 contiguous blocks; two rows that differ on
     at most k columns agree on all of one block (multi-index hashing:
@@ -378,10 +383,10 @@ def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     under every block at once.  The candidates, pairs that share a group,
     are taken `_BLOCK_CELLS` at a time (a sorted position whose partners
     alone are more is one batch) and filtered by distance, read from the
-    rows packed into 64-bit words; a near pair is kept only under the first
-    block its rows share, so none is found twice.  O(r (k + 1) log r +
-    candidates) time, never r x r, and beyond the result at most one batch
-    of candidates is held.
+    rows packed into 64-bit words, whose differing lanes are the supports;
+    a near pair is kept only under the first block its rows share, so none
+    is found twice.  O(r (k + 1) log r + candidates) time, never r x r,
+    and beyond the result at most one batch of candidates is held.
     """
     r, n = grid.shape
     blocks = k + 1
@@ -399,10 +404,11 @@ def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     group = np.empty(blocks * r, dtype=np.intp)
     group[order] = np.repeat(np.arange(len(sizes)), sizes)
     group = group.reshape(blocks, r)
-    # rows as (words, r) 64-bit words of 8 // itemsize symbol lanes; a lane
-    # of x = a ^ b is nonzero iff ((x & low) + low | x) sets its top bit
-    lanes = 8 // grid.itemsize
-    packed = np.zeros((r, -(-n // lanes) * lanes), dtype=grid.dtype)
+    # rows, zero-padded to whole support bytes, as (words, r) 64-bit words
+    # of 8 // itemsize symbol lanes; a lane of x = a ^ b is nonzero iff
+    # ((x & low) + low | x) sets its top bit
+    width = -(-n // 8)
+    packed = np.zeros((r, 8 * width), dtype=grid.dtype)
     packed[:, :n] = grid
     words = np.ascontiguousarray(packed.view(np.uint64).T)
     bits = 8 * grid.itemsize
@@ -413,7 +419,7 @@ def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     np.cumsum(np.repeat(bounds[1:], sizes) - np.arange(blocks * r) - 1,
               out=reach[1:])
     none = np.zeros(0, dtype=np.intp)
-    found, start = [(none, none)], 0
+    found, start = [(none, none, np.zeros((0, width), np.uint8))], 0
     while start < blocks * r:
         stop = max(start + 1, int(np.searchsorted(
             reach, reach[start] + _BLOCK_CELLS, side="right")) - 1)
@@ -423,10 +429,13 @@ def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
             v = key_v - block * r
             x = words.take(u, axis=1) ^ words.take(v, axis=1)
             lit = (((x & low) + low) | x) & top
-            near = np.bitwise_count(lit).sum(axis=0) <= k
-            block, u, v = block[near], u[near], v[near]
-            first = (group[:, u] == group[:, v]).argmax(axis=0) == block
-            found.append((u[first], v[first]))
+            near = np.flatnonzero(np.bitwise_count(lit).sum(axis=0) <= k)
+            if len(near):
+                block, u, v = block[near], u[near], v[near]
+                first = (group[:, u] == group[:, v]).argmax(axis=0) == block
+                differ = lit.T[near[first]].view(grid.dtype) != 0
+                found.append((u[first], v[first],
+                              np.packbits(differ).reshape(-1, width)))
         start = stop
     return tuple(np.concatenate(side) for side in zip(*found))
 
@@ -447,13 +456,11 @@ def _subset_cells(grid: np.ndarray, d: int, k: int
     cell's pairs in the order of their dropped-column words.
     """
     r, n = grid.shape
-    u, v = _close_pairs(grid, k)
-    if len(u):
-        # group the pairs by their set of differing columns (their support)
-        differ = np.packbits(grid[u] != grid[v], axis=1)
-        order, owned = _group_rows(differ, range(differ.shape[1]))
+    u, v, support = _close_pairs(grid, k)
+    if len(u):  # group the pairs by their support
+        order, owned = _group_rows(support, range(support.shape[1]))
         u, v = u[order], v[order]
-        support = differ[order[owned[:-1]]]
+        support = support[order[owned[:-1]]]
     for subsets in _subset_blocks(n, k, r):
         codes = _kept_codes(grid, d, subsets)
         if not len(u):  # no off-diagonal cell anywhere

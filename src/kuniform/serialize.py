@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NotAnOAAtStrength, ParameterMismatch, ParseError, Unsupported
 from .oa import OrthogonalArray, _effective_strength
 from .states import (DIGITS36, PureState, _BYTE_VALUE, _DIGIT_BYTES,
-                     _DIGIT_VALUE, _text_words)
+                     _DIGIT_VALUE, _from_grid, _text_words)
 
 _SIGN_TOL = 1e-12
 
@@ -196,16 +196,16 @@ def parse_ket(text: str, levels: Optional[int] = None) -> PureState:
     terms = _ket_terms(text)
     if not terms:
         raise ParseError("no ket terms found", 1, 1)
-    words = next(zip(*terms))
+    words, phases = zip(*terms)
     n = len(words[0])
     if set(map(len, words)) != {n}:
         word = next(w for w in words if len(w) != n)
         raise ParseError(f"word {word!r} has length {len(word)}, "
                          f"expected {n}")
-    # digit characters sort as their values
-    inferred = max(2, _DIGIT_VALUE[max(map(max, words))] + 1)
-    d = levels if levels is not None else inferred
-    return PureState(n, d, tuple(terms))
+    raw = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    grid = _BYTE_VALUE[raw].reshape(-1, n)
+    d = levels if levels is not None else max(2, int(grid.max()) + 1)
+    return _from_grid(grid, d, phases)
 
 
 def write_ket(state: PureState) -> str:

@@ -39,7 +39,7 @@ from .errors import (
     TooLarge,
     Unsupported,
 )
-from .linalg import jacobi_eigvalsh, rank_by_eigenvalues
+from .linalg import rank_by_eigenvalues
 from .oa import (OrthogonalArray, _group_rows, _kept_codes, _pairs,
                  _subset_cells, _word_counts)
 
@@ -260,16 +260,8 @@ def reduce(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     dropped = [i for i in range(n) if i not in kept]
     dim = d ** len(kept)
     _require_listable(dim * dim, 16, f"a {dim} x {dim} reduction")
-    grid, phases = state.grid, state.phase_vector
-    codes = _kept_codes(grid, d, np.array([kept]))[0]
-
-    data = np.zeros((dim, dim), dtype=complex)
-    np.add.at(data, (codes, codes), phases * phases.conj())
-    u, v = _pairs(*_group_rows(grid, dropped))
-    value = phases[u] * phases[v].conj()
-    np.add.at(data, (codes[u], codes[v]), value)
-    np.add.at(data, (codes[v], codes[u]), value.conj())
-    data /= state.term_count
+    u, v = _pairs(*_group_rows(state.grid, dropped))
+    data = _reductions(state, np.array([kept]), np.zeros_like(u), u, v)[0]
     return DensityMatrix(data, kept, d)
 
 
@@ -312,15 +304,15 @@ def _deviations(state: PureState, k: int, tol: float
 def _reductions(state: PureState, subsets: np.ndarray, sub: np.ndarray,
                 u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The (b, d**k, d**k) stack of the reductions over the b subsets of
-    `subsets`, entry for entry as `reduce` builds each one, from the cell
-    incidences (sub, u, v) of `oa._subset_cells` (sub indexing `subsets`).
+    `subsets`, from cell incidences (sub, u, v), sub indexing `subsets`:
+    those of `oa._subset_cells`, or every pair of `reduce`'s one subset.
 
-    An entry sums the same terms in the same order as `reduce`'s
-    `np.add.at`: the diagonal in row order, and a cell's pairs, listed in
-    dropped-word order since the rows are in word order, with their
-    conjugates at the mirror cell.  So one flat bincount of the real parts
-    and one of the imaginary parts give its entries bit for bit.  Every
-    matrix passes DensityMatrix's checks.
+    An entry sums its terms in one order, by one flat bincount each of the
+    real and imaginary parts: the diagonal in row order, then a cell's
+    pairs in dropped-word order (the rows are in word order), with their
+    conjugates at the mirror cell; so both callers build it bit for bit
+    alike.  Unchecked here: `reduce` checks its matrix by DensityMatrix,
+    `_spectra` each stack once by `_require_density`.
     """
     phases, d = state.phase_vector, state.levels
     b, k = subsets.shape
@@ -339,7 +331,6 @@ def _reductions(state: PureState, subsets: np.ndarray, sub: np.ndarray,
     data.imag = np.bincount(index, weight.imag, len(data))
     data = data.reshape(b, dim, dim)
     data /= state.term_count
-    _require_density(data)
     return data
 
 
@@ -347,9 +338,9 @@ def _spectra(state: PureState, subsets: np.ndarray, failing: np.ndarray,
              sub: np.ndarray, u: np.ndarray, v: np.ndarray
              ) -> Iterator[Tuple[float, ...]]:
     """Ascending eigenvalues of the reduction over each subset
-    ``subsets[failing]`` of one block of `_deviations`, whose cell
-    incidences are (sub, u, v); one stacked `jacobi_eigvalsh` per chunk of
-    at most oa._BLOCK_CELLS matrix entries (or of one matrix)."""
+    ``subsets[failing]`` of one block of `_deviations` (cell incidences
+    (sub, u, v)): per stack of at most oa._BLOCK_CELLS entries (or one
+    matrix), one `_require_density` and one `np.linalg.eigvalsh` call."""
     dim = state.levels ** subsets.shape[1]
     # renumber the incidences of failing subsets 0, 1, ... (still sorted)
     slot = np.full(len(subsets), -1)
@@ -363,7 +354,8 @@ def _spectra(state: PureState, subsets: np.ndarray, failing: np.ndarray,
         lo, hi = np.searchsorted(sub, (start, stop))
         data = _reductions(state, subsets[failing[start:stop]],
                            sub[lo:hi] - start, u[lo:hi], v[lo:hi])
-        yield from map(tuple, jacobi_eigvalsh(data).tolist())
+        _require_density(data)
+        yield from map(tuple, np.linalg.eigvalsh(data).tolist())
 
 
 class MixednessResult(NamedTuple):

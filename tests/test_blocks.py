@@ -170,11 +170,14 @@ def test_close_pairs_match_a_plain_pair_scan(grid_rows, data):
     dtype, rows = grid_rows
     k = data.draw(st.integers(0, len(rows[0])))
     cells = data.draw(st.sampled_from([1, 5, 64, kuniform.oa._BLOCK_CELLS]))
+    grid = np.array(rows, dtype=dtype)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kuniform.oa, "_BLOCK_CELLS", cells)
-        u, v = _close_pairs(np.array(rows, dtype=dtype), k)
+        u, v, support = _close_pairs(grid, k)
     assert (u < v).all()
     assert sorted(zip(u.tolist(), v.tolist())) == close_pairs(rows, k)
+    assert support.dtype == np.uint8
+    assert np.array_equal(support, np.packbits(grid[u] != grid[v], axis=1))
 
 
 def test_close_pairs_memory_is_bounded_by_its_result():
@@ -183,13 +186,28 @@ def test_close_pairs_memory_is_bounded_by_its_result():
     grid = np.array(list(itertools.product((0, 1), repeat=12)), dtype=np.uint8)
     tracemalloc.start()
     try:
-        u, v = _close_pairs(grid, 4)
+        u, v, _ = _close_pairs(grid, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(u) == 4096 * 793 // 2
     assert (u < v).all() and (grid[u] != grid[v]).sum(axis=1).max() == 4
     assert (np.diff(np.sort(u * 4096 + v)) > 0).all()  # each pair once
+    assert peak <= 3 * (u.nbytes + v.nbytes)
+
+
+def test_irredundancy_memory_is_bounded_by_the_close_pairs():
+    # the same 1.6M close pairs: the witness is built from their distinct
+    # supports, with no pairs x N matrix
+    array = OrthogonalArray(list(itertools.product((0, 1), repeat=12)), 2)
+    u, v, _ = _close_pairs(array.grid, 4)
+    tracemalloc.start()
+    try:
+        result = is_irredundant(array, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.witness == IrredundancyWitness((0, 1, 2, 3), (0, 256))
     assert peak <= 3 * (u.nbytes + v.nbytes)
 
 
