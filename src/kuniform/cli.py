@@ -36,6 +36,7 @@ from .errors import (
 from .graphs import graph_from_state, to_dot, to_json
 from .oa import (
     OrthogonalArray,
+    _census,
     _close_pairs,
     _has_strength,
     derive as derive_array,
@@ -137,9 +138,16 @@ def oa_verify(file: str, strength: Optional[int]) -> None:
     else:
         s = max_strength(array)
     # irredundancy at k means no two rows within distance k, so it holds at
-    # 1..t for t = s, or one below the smallest distance of a closer pair
-    distance = np.bitwise_count(_close_pairs(array.grid, s)[2]).sum(1)
-    t = max(0, int(distance.min()) - 1) if len(distance) else s
+    # 1..t for t = s, or one below the smallest distance between two rows:
+    # from a pair census where it pays, else from the close pairs
+    grid = array.grid
+    census = _census(grid, s, -1)
+    if census is not None:
+        separation = census.separation
+    else:
+        distance = np.bitwise_count(_close_pairs(grid, s)[2]).sum(1)
+        separation = int(distance.min()) if len(distance) else s + 1
+    t = min(s, max(0, separation - 1))
     result = {
         "strength": s,
         "index": array.runs // array.levels ** s,

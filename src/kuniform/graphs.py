@@ -24,7 +24,8 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import BadSubset, ParameterViolation, ParseError, PhasesPresent
-from .oa import OrthogonalArray, _group_rows, is_irredundant, verify_strength
+from .oa import (OrthogonalArray, _census, _group_rows, is_irredundant,
+                 verify_strength)
 from .states import (DIGITS36, PureState, _from_grid, _require_listable,
                      _require_proper_k, _text_words, _validated_subset)
 
@@ -105,9 +106,14 @@ def _require_common_phase(state: PureState) -> None:
 def is_k_uniform_by_graphs(state: PureState, k: int) -> bool:
     """Both degree rules on every C(N, k) partition.  Only valid for states
     whose terms share one phase (raises PhasesPresent otherwise).  The
-    rules are checked as strength k and irredundancy at k of the words."""
+    rules are checked as strength k and irredundancy at k of the words:
+    where the pair census pays, from one census (strength k by Delsarte's
+    test, and no two words within distance k); otherwise by the scan."""
     _require_proper_k(k, state.qudits)
     _require_common_phase(state)
+    census = _census(state.grid, k, -1)
+    if census is not None:
+        return census.strength(state.levels, k) >= k and census.separation > k
     array = OrthogonalArray(state.grid, state.levels)
     return verify_strength(array, k) and is_irredundant(array, k).ok
 

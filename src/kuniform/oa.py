@@ -1,19 +1,31 @@
 """Orthogonal arrays: strength, index, irredundancy, transformations, bounds.
 
-An OA(r, N, d, k) is an r x N grid over symbols 0..d-1 in which every r x k
-column subarray contains each k-tuple exactly lambda = r/d**k times.  The
-array type is immutable; transformation functions return new arrays.
+An OA(r, N, d, k) is an r x N grid over symbols 0..d-1 in which every choice
+of k columns shows each k-tuple exactly lambda = r/d**k times.  The array
+type is immutable; transformation functions return new arrays.
 
-The private kernels below serve every scan over the C(N, k) column
-subsets, here and in `states` and `phases`.  The subsets are taken a block
-at a time (about 2**15 subset x row cells), and each block's kept-word
-codes are one integer array sorted once along the rows: its run lengths
-are the word counts (strength).  Row pairs that differ on at most k
-columns (close pairs: irredundancy, and the off-diagonal reduction cells)
-are found once each with the columns they differ on, which every consumer
-reads instead of the rows, by one sort of the rows under k + 1 column
-blocks, checking about 2**15 candidates at a time, without an r x r scan.
-No array has d**k entries.
+The private kernels below serve every certification, here and in `states`,
+`phases`, `graphs` and the CLI.  Two ways answer the same questions:
+
+* The block scan goes over the C(N, k) column subsets, a block at a time
+  (about 2**15 subset x row cells); each block's kept-word codes are one
+  integer array sorted once along the rows, whose run lengths are the word
+  counts (strength).  Row pairs that differ on at most k columns (close
+  pairs: irredundancy, and the off-diagonal reduction cells) are found once
+  each with the columns they differ on, by one sort of the rows under
+  k + 1 column blocks, without an r x r scan (`_close_pairs`).
+* The pair census (`_pair_census`) compares every row pair once, on the
+  rows packed into 64-bit words, and returns their distance distribution
+  A_0..A_N with the close pairs.  Strength t holds iff
+  sum_i A_i K_j(i) = 0 for j = 1..t, K_j the Krawtchouk polynomials
+  (Delsarte 1973; Hedayat-Sloane-Stufken ch. 4), for any array, repeated
+  rows included (`_delsarte_strength`, in exact integers); the smallest
+  distance between two rows bounds irredundancy.
+
+The census costs about r**2 words word operations against C(N, k) r cells
+for the scan, so it runs only where r * words < C(N, k) (`_census_pays`):
+many columns and few rows.  Elsewhere the scan runs.  No array has d**k
+entries.
 """
 
 from __future__ import annotations
@@ -158,7 +170,9 @@ def _certified(grid: np.ndarray, levels: int,
 def verify_strength(array: OrthogonalArray, k: int) -> bool:
     """True iff every k-column projection contains each k-tuple r/d**k times.
 
-    A block of column subsets at a time, each subset's kept-word codes
+    Where the pair census costs less than the scan (`_census`), by
+    Delsarte's test on the rows' distance distribution.  Otherwise a block
+    of column subsets at a time, each subset's kept-word codes
     (`_kept_codes`) are sorted; strength k holds iff every sorted row is
     r/d**k copies of 0..d**k - 1.  The check stops at the first block with
     a failing subset.  d**k <= r whenever codes are formed, so they cannot
@@ -173,6 +187,9 @@ def verify_strength(array: OrthogonalArray, k: int) -> bool:
     if r % d ** k != 0:
         return False
     grid = array.grid
+    census = _census(grid, k, -1)
+    if census is not None:
+        return census.strength(d, k) >= k
     every = np.repeat(np.arange(d ** k), r // d ** k)
     for subsets in _subset_blocks(n, k, r):
         codes = _kept_codes(grid, d, subsets)
@@ -183,10 +200,19 @@ def verify_strength(array: OrthogonalArray, k: int) -> bool:
 
 
 def max_strength(array: OrthogonalArray) -> int:
-    """Largest k with verify_strength true (strength is downward closed, so
-    the walk starts at the declared strength, proven at construction)."""
+    """Largest k with verify_strength true.  Strength is downward closed,
+    so the walk starts at the declared strength, proven at construction,
+    and stops at a k that fails or that r/d**k cannot reach.  At the first
+    k where the pair census costs less than the scan, one census answers
+    for every k by Delsarte's test."""
+    grid, d = array.grid, array.levels
     k = array.strength or 0
-    while k + 1 <= array.factors and verify_strength(array, k + 1):
+    while k < array.factors and array.runs % d ** (k + 1) == 0:
+        census = _census(grid, k + 1, -1)
+        if census is not None:
+            return census.strength(d, array.factors)
+        if not verify_strength(array, k + 1):
+            break
         k += 1
     return k
 
@@ -322,27 +348,41 @@ def _subset_blocks(n: int, k: int, r: int) -> Iterator[np.ndarray]:
         yield flat.reshape(len(block), k)
 
 
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array replaced by its dense ranks (0 for its
+    smallest value), which keep the row's order and equalities."""
+    order = np.argsort(values, axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    ranks = np.zeros(values.shape, dtype=np.intp)
+    ranks[:, 1:] = np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    out = np.empty_like(ranks)
+    np.put_along_axis(out, order, ranks, axis=1)
+    return out
+
+
 def _kept_codes(grid: np.ndarray, d: int, subsets: np.ndarray) -> np.ndarray:
     """(b, r) codes of each row's kept word under each subset of a block.
 
     Codes are the base-d value of the kept word, so they order as the words
     do.  They are int32 when d**k < 2**31 and int64 otherwise; before a
     fold could overflow int64, each subset's codes are replaced by their
-    dense ranks (< r), which keeps the order and the equalities.
+    dense ranks (< r), which keeps the order and the equalities.  A uint64
+    grid's symbols may not fit int64: its columns are replaced by their
+    dense ranks first and folded in base r, so its codes keep the words'
+    order and equalities but are no base-d values.
     """
     b, k = subsets.shape
+    r = grid.shape[0]
+    if grid.dtype == np.uint64:
+        grid, d = _dense_ranks(grid.T).T, r
     dtype = np.int32 if d ** k < 2 ** 31 else np.int64
     limit = np.iinfo(dtype).max
-    codes = np.zeros((b, grid.shape[0]), dtype=dtype)
+    codes = np.zeros((b, r), dtype=dtype)
     top = 1  # codes are < top
     for j in range(k):
         if top * d > limit:
-            order = np.argsort(codes, axis=1)
-            ordered = np.take_along_axis(codes, order, axis=1)
-            ranks = np.zeros_like(codes)
-            ranks[:, 1:] = np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1)
-            np.put_along_axis(codes, order, ranks, axis=1)
-            top = grid.shape[0]
+            codes[...] = _dense_ranks(codes)
+            top = r
         codes *= d
         codes += grid[:, subsets[:, j]].T
         top *= d
@@ -404,22 +444,12 @@ def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, ...]:
     group = np.empty(blocks * r, dtype=np.intp)
     group[order] = np.repeat(np.arange(len(sizes)), sizes)
     group = group.reshape(blocks, r)
-    # rows, zero-padded to whole support bytes, as (words, r) 64-bit words
-    # of 8 // itemsize symbol lanes; a lane of x = a ^ b is nonzero iff
-    # ((x & low) + low | x) sets its top bit
-    width = -(-n // 8)
-    packed = np.zeros((r, 8 * width), dtype=grid.dtype)
-    packed[:, :n] = grid
-    words = np.ascontiguousarray(packed.view(np.uint64).T)
-    bits = 8 * grid.itemsize
-    top = ((1 << 64) // ((1 << bits) - 1)) << (bits - 1)
-    low = top ^ ((1 << 64) - 1)
+    words, differ, supports = _lane_words(grid, 8 * grid.itemsize)
     # reach[p]: the candidates of the sorted positions before p
     reach = np.zeros(blocks * r + 1, dtype=np.intp)
     np.cumsum(np.repeat(bounds[1:], sizes) - np.arange(blocks * r) - 1,
               out=reach[1:])
-    none = np.zeros(0, dtype=np.intp)
-    found, start = [(none, none, np.zeros((0, width), np.uint8))], 0
+    found, start = [_no_pairs(n)], 0
     while start < blocks * r:
         stop = max(start + 1, int(np.searchsorted(
             reach, reach[start] + _BLOCK_CELLS, side="right")) - 1)
@@ -427,36 +457,203 @@ def _close_pairs(grid: np.ndarray, k: int) -> Tuple[np.ndarray, ...]:
             key_u, key_v = _pairs(order, bounds, start, stop)
             block, u = np.divmod(key_u, r)
             v = key_v - block * r
-            x = words.take(u, axis=1) ^ words.take(v, axis=1)
-            lit = (((x & low) + low) | x) & top
+            lit = differ(words.take(u, axis=1) ^ words.take(v, axis=1))
             near = np.flatnonzero(np.bitwise_count(lit).sum(axis=0) <= k)
             if len(near):
                 block, u, v = block[near], u[near], v[near]
                 first = (group[:, u] == group[:, v]).argmax(axis=0) == block
-                differ = lit.T[near[first]].view(grid.dtype) != 0
                 found.append((u[first], v[first],
-                              np.packbits(differ).reshape(-1, width)))
+                              supports(lit[:, near[first]])))
         start = stop
     return tuple(np.concatenate(side) for side in zip(*found))
 
 
-def _subset_cells(grid: np.ndarray, d: int, k: int
+def _lane_bits(grid: np.ndarray) -> int:
+    """The narrowest symbol lanes: the fewest of 1, 2, 4 and 8 bits that
+    hold a uint8 grid's symbols, else the width of the grid's type."""
+    if grid.itemsize > 1:
+        return 8 * grid.itemsize
+    return 1 << (max(int(grid.max()), 1).bit_length() - 1).bit_length()
+
+
+def _lane_words(grid: np.ndarray, bits: int):
+    """(words, differ, supports): the rows packed for pair comparisons.
+
+    `words` is a (words, r) array of 64-bit words holding each row's
+    symbols in lanes of `bits` (at least `_lane_bits`), column 0 first,
+    zero-padded to whole words: lanes narrower than a byte fill each byte
+    from its top bits, wider ones are the grid's own integers.  `differ`
+    turns x = a ^ b of such words into the top bit of each lane where a
+    and b differ: a lane of x is nonzero iff ((x & low) + low | x) sets
+    its top bit.  `supports` turns a (words, pairs) array of `differ`
+    words into one `np.packbits` row per pair of its differing columns,
+    column 0 the top bit of byte 0.
+    """
+    r, n = grid.shape
+    size = -(-n * bits // 64)
+    if bits >= 8:
+        lanes = np.zeros((r, 64 // bits * size), dtype=grid.dtype)
+        lanes[:, :n] = grid
+    else:  # each symbol's low `bits` bits, top bit first
+        planes = [(grid >> (bits - 1 - b)) & 1 for b in range(bits)]
+        lanes = np.zeros((r, 8 * size), dtype=np.uint8)
+        lanes[:, :-(-n * bits // 8)] = np.packbits(
+            np.stack(planes, axis=2).reshape(r, -1), axis=1)
+    top = np.uint64(((1 << 64) - 1) // ((1 << bits) - 1) << (bits - 1))
+    low = ~top
+
+    def differ(x: np.ndarray) -> np.ndarray:
+        tops = x & low
+        tops += low
+        tops |= x
+        tops &= top
+        return tops
+
+    def supports(lit: np.ndarray) -> np.ndarray:
+        lit = np.ascontiguousarray(lit.T)
+        if bits >= 8:
+            return np.packbits(lit.view(grid.dtype)[:, :n] != 0, axis=1)
+        # a sub-byte lane's top bit is bit c * bits of the row's bytes
+        return np.packbits(np.unpackbits(lit.view(np.uint8), axis=1,
+                                         count=n * bits)[:, ::bits], axis=1)
+    return np.ascontiguousarray(lanes.view(np.uint64).T), differ, supports
+
+
+def _no_pairs(n: int) -> Tuple[np.ndarray, ...]:
+    """No close pairs of an n-column grid, as (u, v, support)."""
+    none = np.zeros(0, dtype=np.intp)
+    return none, none, np.zeros((0, -(-n // 8)), np.uint8)
+
+
+def _census_pays(grid: np.ndarray, k: int) -> bool:
+    """True where the pair census costs less than the block scan at k: r**2
+    pair distances of `words` 64-bit words each (`_lane_words`) against
+    C(N, k) subsets of r rows each, so r * words < C(N, k).  A cost model,
+    not a setting."""
+    r, n = grid.shape
+    if not 0 <= k <= n or r * -(-n // 64) >= comb(n, k):
+        return False  # not even one-bit lanes would pay
+    return r * -(-n * _lane_bits(grid) // 64) < comb(n, k)
+
+
+class _Census(NamedTuple):
+    """What `_pair_census` reads off every row pair.
+
+    `distances[i]` is A_i, the number of ordered row pairs at Hamming
+    distance i, each row paired with itself included (so A_0 = r when no
+    row repeats); `separation` is the smallest distance between two rows
+    (0 when a row repeats, N + 1 for a single row); `pairs` are the close
+    pairs at distance at most `reach`, as `_close_pairs` returns them."""
+
+    distances: Tuple[int, ...]
+    separation: int
+    reach: int
+    pairs: Tuple[np.ndarray, ...]
+
+    def strength(self, d: int, upto: int) -> int:
+        """The largest strength t <= upto of the rows over d levels."""
+        return _delsarte_strength(self.distances, len(self.distances) - 1,
+                                  d, upto)
+
+    def close_pairs(self, k: int) -> Optional[Tuple[np.ndarray, ...]]:
+        """The close pairs at distance <= k, for k >= `reach`; None when
+        some lie beyond the census's reach."""
+        beyond = self.distances[self.reach + 1:k + 1]
+        return None if any(beyond) else self.pairs
+
+
+def _pair_census(grid: np.ndarray, reach: int) -> _Census:
+    """The rows' distance distribution and their close pairs at distance
+    <= reach (none for reach < 0), from one pass over every row pair.
+
+    Rows are compared as `_close_pairs` compares them, on their packed
+    64-bit words (`_lane_words`), here in the narrowest lanes
+    (`_lane_bits`), since the cost is in the words: a chunk of rows against
+    every later row at a time, at most `_BLOCK_CELLS` pair words per chunk,
+    so beyond the result one chunk is held.  O(r**2 words) time: run it
+    where `_census_pays`.
+    """
+    r, n = grid.shape
+    words, differ, supports = _lane_words(grid, _lane_bits(grid))
+    count = np.zeros(n + 1, dtype=np.int64)  # ordered pairs per distance
+    found, start = [_no_pairs(n)], 0
+    while start < r:
+        rows = max(1, _BLOCK_CELLS // ((r - start) * len(words)))
+        stop = min(r, start + rows)
+        # rows start..stop - 1 against rows start..r - 1: the pairs inside
+        # the chunk come in both orders (and each row with itself), the
+        # pairs with a later row once
+        lit = differ(words[:, start:stop, None] ^ words[:, None, start:])
+        distance = np.bitwise_count(lit).sum(axis=0,
+                                             dtype=np.min_scalar_type(n))
+        inside = stop - start
+        count += np.bincount(distance[:, :inside].ravel(), minlength=n + 1)
+        count += 2 * np.bincount(distance[:, inside:].ravel(), minlength=n + 1)
+        i, j = np.divmod(np.flatnonzero(distance <= reach), r - start)
+        later = j > i
+        if later.any():
+            i, j = i[later], j[later]
+            found.append((i + start, j + start, supports(lit[:, i, j])))
+        start = stop
+    hit = np.flatnonzero(count[1:])
+    separation = 0 if count[0] > r else int(hit[0]) + 1 if len(hit) else n + 1
+    return _Census(tuple(count.tolist()), separation, reach,
+                   tuple(np.concatenate(side) for side in zip(*found)))
+
+
+def _census(grid: np.ndarray, k: int, reach: int) -> Optional[_Census]:
+    """`_pair_census(grid, reach)` where it costs less than the block scan
+    at k (`_census_pays`), else None: the one place that chooses."""
+    return _pair_census(grid, reach) if _census_pays(grid, k) else None
+
+
+def _delsarte_strength(distances: Sequence[int], n: int, d: int,
+                       upto: int) -> int:
+    """The largest t <= upto with sum_i A_i K_j(i) = 0 for j = 1..t, where
+    A = `distances` is an r-row array's distance distribution over d
+    levels and K_j the Krawtchouk polynomial of length n: the array's
+    strength (capped at upto), for any array, repeated rows included.
+
+    Delsarte, Philips Res. Rep. Suppl. 10 (1973); Hedayat-Sloane-Stufken,
+    Orthogonal Arrays, ch. 4.  The sum for j adds |sum over the rows of
+    chi(row)|**2 over the characters chi of Z_d**n of weight j, and these
+    all vanish for j = 1..t iff every t-column projection is uniform.
+    Exact Python ints, K_j(i) by the three-term recurrence, only at the
+    distances that occur.
+    """
+    at = [(i, a) for i, a in enumerate(distances) if a]
+    before, krawtchouk = [0] * len(at), [1] * len(at)  # K_{j-1}, K_j
+    for j in range(upto):
+        # (j + 1) K_{j+1}(i) = ((d - 1)(n - j) + j - d i) K_j(i)
+        #                      - (d - 1)(n - j + 1) K_{j-1}(i)
+        before, krawtchouk = krawtchouk, [
+            (((d - 1) * (n - j) + j - d * i) * now
+             - (d - 1) * (n - j + 1) * then) // (j + 1)
+            for (i, _), now, then in zip(at, krawtchouk, before)]
+        if sum(a * value for (_, a), value in zip(at, krawtchouk)):
+            return j
+    return upto
+
+
+def _subset_cells(grid: np.ndarray, d: int, k: int,
+                  pairs: Optional[Tuple[np.ndarray, ...]] = None
                   ) -> Iterator[Tuple[np.ndarray, ...]]:
     """Blocks of k-subsets with the off-diagonal cells of their reductions.
 
     A reduction's cell (a, a') with a != a' is fed by the row pairs that
     agree on every dropped column and have kept words a and a': the close
-    pairs (`_close_pairs`) whose differing columns all lie in the subset.
-    Yields, per block of `_subset_blocks`, ``(subsets, codes, sub, u, v,
-    bounds)``: `codes` as from `_kept_codes`; each incidence is a pair
-    (u, v) inside subset ``subsets[sub]``, oriented so that
-    ``codes[sub, u] < codes[sub, v]``; incidences are sorted by (sub, code
-    of u, code of v, u), and cell c is incidences ``bounds[c]:bounds[c +
-    1]``.  Rows ordered as their words (a state's terms are) thus list a
-    cell's pairs in the order of their dropped-column words.
+    pairs (`_close_pairs`, or `pairs` at distance <= k as it returns them)
+    whose differing columns all lie in the subset.  Yields, per block of
+    `_subset_blocks`, ``(subsets, codes, sub, u, v, bounds)``: `codes` as
+    from `_kept_codes`; each incidence is a pair (u, v) inside subset
+    ``subsets[sub]``, oriented so that ``codes[sub, u] < codes[sub, v]``;
+    incidences are sorted by (sub, code of u, code of v, u), and cell c is
+    incidences ``bounds[c]:bounds[c + 1]``.  Rows ordered as their words
+    (a state's terms are) thus list a cell's pairs in the order of their
+    dropped-column words.  The pairs' own order does not matter.
     """
     r, n = grid.shape
-    u, v, support = _close_pairs(grid, k)
+    u, v, support = _close_pairs(grid, k) if pairs is None else pairs
     if len(u):  # group the pairs by their support
         order, owned = _group_rows(support, range(support.shape[1]))
         u, v = u[order], v[order]

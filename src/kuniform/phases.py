@@ -14,7 +14,8 @@ Cells fed by an odd number of pairs admit no +/-1 solution at all; cells
 fed by four or more pairs fall outside the linear derivation and are
 handled by bounded exhaustive search.  The cells and their pairs come from
 the block kernels of `oa` (`oa._subset_cells`): the row pairs that differ
-on at most k columns, all kept, grouped per (subset, cell).
+on at most k columns, all kept, grouped per (subset, cell).  Where the
+pair census pays, one census proves the strength and lists those pairs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .errors import (
     Unsupported,
     UnsupportedMultiplicity,
 )
-from .oa import OrthogonalArray, _group_rows, _has_strength, _subset_cells
+from .oa import (OrthogonalArray, _census, _group_rows, _has_strength,
+                 _subset_cells)
 from .states import PureState, _is_k_uniform, digits_to_word, state_from_oa
 
 EXHAUSTIVE_ROW_LIMIT = 21
@@ -102,12 +104,14 @@ class SignSolution:
         return tuple(1.0 if b == 0 else -1.0 for b in self.assignment)
 
 
-def _cells(array: OrthogonalArray, k: int):
+def _cells(array: OrthogonalArray, k: int, close=None):
     """Yield (kept, cell, pairs) for each off-diagonal cell with at least
     one contributing row pair, in lexicographic (kept, cell) order; the
-    pairs (i < j) of a cell ascend."""
+    pairs (i < j) of a cell ascend.  `close`: the close pairs at distance
+    <= k, when a pair census has them."""
     grid = array.grid
-    for subsets, _, sub, u, v, bounds in _subset_cells(grid, array.levels, k):
+    for subsets, _, sub, u, v, bounds in _subset_cells(grid, array.levels, k,
+                                                       close):
         for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             kept = tuple(subsets[sub[start]].tolist())
             cell = tuple(digits_to_word(grid[row, list(kept)].tolist())
@@ -119,16 +123,23 @@ def _cells(array: OrthogonalArray, k: int):
 
 def _checked_cells(array: OrthogonalArray, k: int) -> Iterator[tuple]:
     """`constraint_system`'s checks of the array and k, made at once; then
-    the cells of `_cells`, lazily, so that a raising cell ends the walk."""
-    n = array.factors
-    if not _has_strength(array, k):
+    the cells of `_cells`, lazily, so that a raising cell ends the walk.
+    Where the pair census pays, it proves the strength and lists the close
+    pairs, in one pass."""
+    n, grid = array.factors, array.grid
+    census = _census(grid, k, k)
+    if census is None:
+        strong, close = _has_strength(array, k), None
+    else:
+        strong, close = census.strength(array.levels, k) >= k, census.pairs
+    if not strong:
         raise NotAnOAAtStrength(f"array does not have strength {k}")
     if k > n / 2:
         raise ParameterViolation(
             f"sign fixing requires k <= N/2, got k={k}, N={n}")
-    if len(_group_rows(array.grid, range(n))[1]) <= array.runs:
+    if len(_group_rows(grid, range(n))[1]) <= array.runs:
         raise DuplicateRows("array has repeated rows")
-    return _cells(array, k)
+    return _cells(array, k, close)
 
 
 def _system(array: OrthogonalArray,

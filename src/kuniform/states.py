@@ -18,12 +18,24 @@ eigenvalue call; they equal `reduce`'s entry for entry.  `reduce` (at
 most DENSE_BYTES_LIMIT bytes) is the public one-subset reduction.
 `max_uniformity` stops after the first block of subsets that holds a
 failing one.
+
+Where the pair census pays (`oa._census_pays`: r * words < C(N, k)), it
+replaces the scan's proof.  Strength k (Delsarte's test on the distance
+distribution) with no two terms within distance k makes every reduction
+exactly I/d**k, whatever the phases: `uniformity` then builds its records
+with no scan, and `_is_k_uniform` answers True.  A fast False comes only
+where the scan must agree (see `_certifies` and `_unbalanced`).
+Otherwise the scan runs on the census's close pairs, skipping the
+diagonal counts once strength k is proven.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import combinations, repeat
+from math import comb
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +52,8 @@ from .errors import (
     Unsupported,
 )
 from .linalg import rank_by_eigenvalues
-from .oa import (OrthogonalArray, _group_rows, _kept_codes, _pairs,
-                 _subset_cells, _word_counts)
+from .oa import (OrthogonalArray, _Census, _census, _group_rows, _kept_codes,
+                 _pairs, _subset_cells, _word_counts)
 
 DIGITS36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUE = {c: i for i, c in enumerate(DIGITS36)}
@@ -233,6 +245,11 @@ def _require_proper_k(k: int, n: int) -> None:
         raise ParameterViolation(f"k must be in 1..{n - 1}, got {k}")
 
 
+def _require_tol(tol: float) -> None:
+    if tol <= 0:
+        raise ParameterViolation("tol must be positive")
+
+
 def _validated_subset(keep: Sequence[int], n: int) -> Tuple[int, ...]:
     cols = [int(c) for c in keep]
     if not cols:
@@ -265,8 +282,9 @@ def reduce(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(data, kept, d)
 
 
-def _deviations(state: PureState, k: int, tol: float
-                ) -> Iterator[Tuple[np.ndarray, ...]]:
+def _deviations(state: PureState, k: int, tol: float,
+                pairs: Optional[Tuple[np.ndarray, ...]] = None,
+                strong: bool = False) -> Iterator[Tuple[np.ndarray, ...]]:
     """(subsets, deviations, sub, u, v) for blocks of k-column subsets in
     lexicographic order: max|rho - I/d**k| of each subset, without forming
     rho, and the block's cell incidences as `oa._subset_cells` yields them.
@@ -274,22 +292,29 @@ def _deviations(state: PureState, k: int, tol: float
     The distinct words make the terms of one dropped-column group differ on
     the kept columns, so the diagonal of rho is the kept-word counts over r
     (a kept word no term has counts 0), taken from one sort per block
-    (`oa._word_counts`).  The off-diagonal cells are fed only by term pairs
-    that differ on at most k columns, all kept (`oa._subset_cells`).  Bad k
-    or tol raise ParameterViolation when iteration starts.
+    (`oa._word_counts`); when the words' strength k is proven (`strong`),
+    every count is r/d**k, and r/d**k / r is 1/d**k in floating point, so
+    the diagonal deviates by exactly 0 and is not counted.  The
+    off-diagonal cells are fed only by term pairs that differ on at most k
+    columns, all kept (`oa._subset_cells`, given the census's `pairs` when
+    it has them).  Bad k or tol raise ParameterViolation when iteration
+    starts.
     """
     n, d, r = state.qudits, state.levels, state.term_count
     _require_proper_k(k, n)
-    if tol <= 0:
-        raise ParameterViolation("tol must be positive")
+    _require_tol(tol)
     grid, phases = state.grid, state.phase_vector
     target = 1.0 / d ** k
     words = min(d ** k, r + 1)  # r + 1 stands in for a d**k beyond int64
-    for subsets, codes, sub, u, v, bounds in _subset_cells(grid, d, k):
-        distinct, least, most = _word_counts(codes)
-        deviation = np.maximum(abs(least / r - target), abs(most / r - target))
-        missing = distinct < words  # a kept word no term has: rho's 0 entry
-        deviation[missing] = np.maximum(deviation[missing], target)
+    for subsets, codes, sub, u, v, bounds in _subset_cells(grid, d, k, pairs):
+        if strong:
+            deviation = np.zeros(len(subsets))
+        else:
+            distinct, least, most = _word_counts(codes)
+            deviation = np.maximum(abs(least / r - target),
+                                   abs(most / r - target))
+            missing = distinct < words  # a kept word no term has: rho's 0
+            deviation[missing] = np.maximum(deviation[missing], target)
         if len(sub):
             # each pair is oriented from the smaller to the larger kept
             # word; the mirror cell of rho holds the conjugate sum
@@ -366,8 +391,7 @@ class MixednessResult(NamedTuple):
 def is_maximally_mixed(rho: DensityMatrix,
                        tol: float = DEFAULT_TOL) -> MixednessResult:
     """Entrywise comparison against I/dim; reports the max deviation."""
-    if tol <= 0:
-        raise ParameterViolation("tol must be positive")
+    _require_tol(tol)
     target = np.eye(rho.dimension) / rho.dimension
     deviation = float(np.max(np.abs(rho.data - target)))
     return MixednessResult(deviation <= tol, deviation)
@@ -396,14 +420,39 @@ class UniformityReport:
 def uniformity(state: PureState, k: int,
                tol: float = DEFAULT_TOL) -> UniformityReport:
     """Check every C(N, k) kept subset; certified iff all are maximally
-    mixed.  Each subset is certified sparsely.  The failing subsets of
-    dimension <= 64 get their exact eigenvalues: a block's failing
-    reductions are built together from the block's cells and take one
-    stacked eigenvalue call (see `_spectra`).  The records are built in
-    bulk from the concatenated blocks."""
-    spectra = state.levels ** k <= EIGENVALUE_DIM_LIMIT
+    mixed.  TooLarge, before any work, when the records alone would pass
+    DENSE_BYTES_LIMIT.
+
+    Where the pair census pays (`oa._census`) and proves strength k
+    with no two terms within distance k, every reduction is exactly I/d**k
+    and every record is (labels, True, 0.0, None), built with no scan.
+    Otherwise each subset is certified sparsely (`_deviations`, fed the
+    census's pairs when it has them).  The failing subsets of dimension
+    <= 64 get their exact eigenvalues: a block's failing reductions are
+    built together from the block's cells and take one stacked eigenvalue
+    call (see `_spectra`).  The records are built in bulk from the
+    concatenated blocks."""
+    n, d = state.qudits, state.levels
+    _require_proper_k(k, n)
+    _require_tol(tol)
+    # a record: its tuple, its labels, its deviation and its slot
+    _require_listable(comb(n, k), sys.getsizeof(SubsetReport((), True, 0.0))
+                      + sys.getsizeof((0,) * k) + sys.getsizeof(0.0) + 8,
+                      f"a report of {comb(n, k)} subsets")
+    census = _census(state.grid, k, k)
+    strong = census is not None and census.strength(d, k) >= k
+    # tuple.__new__ makes each record with no Python frame per subset
+    record = partial(tuple.__new__, SubsetReport)
+    if strong and census.separation > k:
+        labels = combinations(range(1, n + 1), k)
+        reports = map(record, zip(labels, repeat(True), repeat(0.0),
+                                  repeat(None)))
+        return UniformityReport(n, d, k, tol, True, tuple(reports))
+    pairs = None if census is None else census.close_pairs(k)
+    spectra = d ** k <= EIGENVALUE_DIM_LIMIT
     blocks, eigenvalues = [], []
-    for subsets, deviations, *cells in _deviations(state, k, tol):
+    for subsets, deviations, *cells in _deviations(state, k, tol, pairs,
+                                                   strong):
         ok = deviations <= tol
         blocks.append((subsets, deviations, ok))
         found = [None] * len(subsets)
@@ -414,29 +463,79 @@ def uniformity(state: PureState, k: int,
                 found[i] = values
         eigenvalues += found
     subsets, deviations, ok = map(np.concatenate, zip(*blocks))
-    # tuple.__new__ makes each record with no Python frame per subset
     labels = map(tuple, (subsets + 1).tolist())
-    reports = map(partial(tuple.__new__, SubsetReport),
-                  zip(labels, ok.tolist(), deviations.tolist(), eigenvalues))
-    return UniformityReport(state.qudits, state.levels, k, tol,
-                            bool(ok.all()), tuple(reports))
+    reports = map(record, zip(labels, ok.tolist(), deviations.tolist(),
+                              eigenvalues))
+    return UniformityReport(n, d, k, tol, bool(ok.all()), tuple(reports))
 
 
 def _is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> bool:
-    """uniformity(state, k, tol).certified, stopping after the first block
-    of subsets that holds a failing one."""
-    return all(bool((deviations <= tol).all())
-               for _, deviations, *_ in _deviations(state, k, tol))
+    """uniformity(state, k, tol).certified, decided by the pair census
+    where it pays and decides (`_certifies`), else by the scan, which
+    stops after the first block of subsets that holds a failing one."""
+    _require_proper_k(k, state.qudits)
+    _require_tol(tol)
+    if _unbalanced(state, k, tol):
+        return False
+    return _certifies(state, k, tol, _census(state.grid, k, k))
+
+
+def _unbalanced(state: PureState, k: int, tol: float) -> bool:
+    """True when r is no multiple of d**k, so that some kept word's count
+    is off r/d**k and its diagonal entry deviates by at least 1/(r d**k)
+    (by 1/d**k when r < d**k leaves a word out), and tol is below half of
+    that: the scan must then fail too.  No census or scan is needed."""
+    r, dim = state.term_count, state.levels ** k
+    gap = 1 / dim if r < dim else 1 / (r * dim)
+    return bool(r % dim) and tol < gap / 2
+
+
+def _certifies(state: PureState, k: int, tol: float,
+               census: Optional[_Census]) -> bool:
+    """`_is_k_uniform` for a checked k and tol, given the pair census taken
+    at k or below (None: the scan decides).
+
+    True when the census proves strength k and no two terms lie within
+    distance k: every reduction is then exactly I/d**k.  False only where
+    the scan must agree, each bound checked with a factor-2 margin against
+    floating-point rounding:
+    * without strength k a diagonal entry deviates by at least
+      1/(r d**k), so when tol < 1/(2 r d**k);
+    * with one common phase, a pair within distance k puts at least 1/r
+      into a cell of a subset holding its support, so when tol < 1/(2r).
+    Otherwise the scan, fed the census's pairs and skipping the diagonal
+    when strength k is proven."""
+    pairs, strong = None, False
+    if census is not None:
+        r, d = state.term_count, state.levels
+        strong = census.strength(d, k) >= k
+        close = census.separation <= k
+        if strong and not close:
+            return True
+        if not strong and tol < 1 / (2 * r * d ** k):
+            return False
+        phases = state.phase_vector
+        if close and tol < 1 / (2 * r) and (phases == phases[0]).all():
+            return False
+        pairs = census.close_pairs(k)
+    return all(bool((deviations <= tol).all()) for _, deviations, *_
+               in _deviations(state, k, tol, pairs, strong))
 
 
 def max_uniformity(state: PureState, tol: float = DEFAULT_TOL) -> int:
     """Largest k <= floor(N/2) whose uniformity check certifies (0 if even
-    k = 1 fails); scans upward and stops after the first block of subsets
-    that holds a failing one, which is sound because k-uniformity implies
-    k'-uniformity for k' < k."""
-    best = 0
+    k = 1 fails); checks upward and stops at the first k that fails, which
+    is sound because k-uniformity implies k'-uniformity for k' < k.  The
+    pair census is taken once, at the first k where it pays (it then pays
+    for every larger k <= N/2), and serves every k from there on."""
+    best, census = 0, None
     for k in range(1, state.qudits // 2 + 1):
-        if not _is_k_uniform(state, k, tol):
+        _require_tol(tol)
+        if _unbalanced(state, k, tol):
+            break
+        if census is None:
+            census = _census(state.grid, k, k)
+        if not _certifies(state, k, tol, census):
             break
         best = k
     return best
