@@ -138,11 +138,14 @@ def oa_verify(file: str, strength: Optional[int]) -> None:
     else:
         s = max_strength(array)
     # irredundancy at k means no two rows within distance k, so it holds at
-    # 1..t for t = s, or one below the smallest distance between two rows:
-    # from a pair census where it pays, else from the close pairs
+    # 1..t for t = s, or one below the smallest distance between two rows.
+    # At index unity (r = d**s) no two rows agree on s columns, so the rows
+    # are an MDS code: the distance is N - s + 1, the Singleton bound.
+    # Otherwise from a pair census where it pays, else from the close pairs
     grid = array.grid
-    census = _census(grid, s, -1)
-    if census is not None:
+    if array.runs == array.levels ** s:
+        separation = array.factors - s + 1
+    elif (census := _census(grid, s, -1, array.levels)) is not None:
         separation = census.separation
     else:
         distance = np.bitwise_count(_close_pairs(grid, s)[2]).sum(1)

@@ -111,7 +111,7 @@ def is_k_uniform_by_graphs(state: PureState, k: int) -> bool:
     test, and no two words within distance k); otherwise by the scan."""
     _require_proper_k(k, state.qudits)
     _require_common_phase(state)
-    census = _census(state.grid, k, -1)
+    census = _census(state.grid, k, -1, state.levels)
     if census is not None:
         return census.strength(state.levels, k) >= k and census.separation > k
     array = OrthogonalArray(state.grid, state.levels)

@@ -23,9 +23,12 @@ The private kernels below serve every certification, here and in `states`,
   distance between two rows bounds irredundancy.
 
 The census costs about r**2 words word operations against C(N, k) r cells
-for the scan, so it runs only where r * words < C(N, k) (`_census_pays`):
-many columns and few rows.  Elsewhere the scan runs.  No array has d**k
-entries.
+for the scan, so it runs where r * words < C(N, k) (`_census_pays`): many
+columns and few rows.  A caller that also needs the close pairs takes it
+as well where all r**2 words fit half a `_BLOCK_CELLS` chunk and d**k
+divides r: there numpy call overhead, not elementwise work, decides; the
+census replaces `_close_pairs`, and the scan too where it decides.
+Elsewhere the scan runs.  No array has d**k entries.
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ def verify_strength(array: OrthogonalArray, k: int) -> bool:
     if r % d ** k != 0:
         return False
     grid = array.grid
-    census = _census(grid, k, -1)
+    census = _census(grid, k, -1, d)
     if census is not None:
         return census.strength(d, k) >= k
     every = np.repeat(np.arange(d ** k), r // d ** k)
@@ -208,7 +211,7 @@ def max_strength(array: OrthogonalArray) -> int:
     grid, d = array.grid, array.levels
     k = array.strength or 0
     while k < array.factors and array.runs % d ** (k + 1) == 0:
-        census = _census(grid, k + 1, -1)
+        census = _census(grid, k + 1, -1, d)
         if census is not None:
             return census.strength(d, array.factors)
         if not verify_strength(array, k + 1):
@@ -494,15 +497,21 @@ def _lane_words(grid: np.ndarray, bits: int):
     if bits >= 8:
         lanes = np.zeros((r, 64 // bits * size), dtype=grid.dtype)
         lanes[:, :n] = grid
-    else:  # each symbol's low `bits` bits, top bit first
-        planes = [(grid >> (bits - 1 - b)) & 1 for b in range(bits)]
+    else:
         lanes = np.zeros((r, 8 * size), dtype=np.uint8)
-        lanes[:, :-(-n * bits // 8)] = np.packbits(
-            np.stack(planes, axis=2).reshape(r, -1), axis=1)
+        if bits == 1:
+            lanes[:, :-(-n // 8)] = np.packbits(grid, axis=1)
+        else:  # 8 // bits symbols a byte, the first in the top bits
+            cells = np.zeros((r, 8 * size, 8 // bits), dtype=np.uint8)
+            cells.reshape(r, -1)[:, :n] = grid
+            for j in range(8 // bits):
+                lanes |= cells[:, :, j] << (8 - bits - j * bits)
     top = np.uint64(((1 << 64) - 1) // ((1 << bits) - 1) << (bits - 1))
     low = ~top
 
     def differ(x: np.ndarray) -> np.ndarray:
+        if bits == 1:  # a one-bit lane is its own top bit
+            return x
         tops = x & low
         tops += low
         tops |= x
@@ -525,15 +534,34 @@ def _no_pairs(n: int) -> Tuple[np.ndarray, ...]:
     return none, none, np.zeros((0, -(-n // 8)), np.uint8)
 
 
-def _census_pays(grid: np.ndarray, k: int) -> bool:
-    """True where the pair census costs less than the block scan at k: r**2
-    pair distances of `words` 64-bit words each (`_lane_words`) against
-    C(N, k) subsets of r rows each, so r * words < C(N, k).  A cost model,
-    not a setting."""
+def _census_pays(grid: np.ndarray, k: int, reach: int, d: int) -> bool:
+    """True where the pair census costs less than the block scan at k, for
+    a caller that needs the close pairs at distance <= reach (none for
+    reach < 0) of rows over d levels.  A cost model, not a setting:
+
+    * r**2 pair distances of `words` 64-bit words each (`_lane_words`)
+      against C(N, k) subsets of r rows each, so r * words < C(N, k);
+    * or, for a caller that needs the close pairs, every pair in half a
+      `_BLOCK_CELLS` chunk (r**2 words <= 2**14) where strength k is
+      possible (d**k divides r).  Its other way is `_close_pairs` and then
+      the scan, whose numpy call overhead outweighs that much elementwise
+      work; a whole chunk does not pay on states with few columns (the
+      28,561 pair words of bush_oa(13, 2) take 1.2-1.4 times the scan's
+      time).  Where d**k does not divide r, strength k fails, the census
+      cannot certify and would only add its pass to the scan's.
+    """
     r, n = grid.shape
-    if not 0 <= k <= n or r * -(-n // 64) >= comb(n, k):
-        return False  # not even one-bit lanes would pay
-    return r * -(-n * _lane_bits(grid) // 64) < comb(n, k)
+    if not 0 <= k <= n:
+        return False
+    small = reach >= 0 and r % d ** k == 0
+
+    def pays(words: int) -> bool:
+        return (r * words < comb(n, k)
+                or small and 2 * r * r * words <= _BLOCK_CELLS)
+
+    # one-bit lanes take the fewest words: where even they do not pay,
+    # the grid's largest symbol is not read
+    return pays(-(-n // 64)) and pays(-(-n * _lane_bits(grid) // 64))
 
 
 class _Census(NamedTuple):
@@ -570,8 +598,12 @@ def _pair_census(grid: np.ndarray, reach: int) -> _Census:
     64-bit words (`_lane_words`), here in the narrowest lanes
     (`_lane_bits`), since the cost is in the words: a chunk of rows against
     every later row at a time, at most `_BLOCK_CELLS` pair words per chunk,
-    so beyond the result one chunk is held.  O(r**2 words) time: run it
-    where `_census_pays`.
+    so beyond the result one chunk is held.  A single chunk (r**2 words
+    <= `_BLOCK_CELLS`, so every census of `_census_pays`' second clause)
+    holds every pair in both orders, so its one histogram is the count.
+    `differ` is the identity on one-bit lanes, and one-word rows need no
+    word sum.
+    O(r**2 words) time: run it only through `_census`.
     """
     r, n = grid.shape
     words, differ, supports = _lane_words(grid, _lane_bits(grid))
@@ -584,11 +616,16 @@ def _pair_census(grid: np.ndarray, reach: int) -> _Census:
         # the chunk come in both orders (and each row with itself), the
         # pairs with a later row once
         lit = differ(words[:, start:stop, None] ^ words[:, None, start:])
-        distance = np.bitwise_count(lit).sum(axis=0,
-                                             dtype=np.min_scalar_type(n))
+        if len(words) == 1:
+            distance = np.bitwise_count(lit[0])
+        else:
+            distance = np.bitwise_count(lit).sum(axis=0,
+                                                 dtype=np.min_scalar_type(n))
         inside = stop - start
         count += np.bincount(distance[:, :inside].ravel(), minlength=n + 1)
-        count += 2 * np.bincount(distance[:, inside:].ravel(), minlength=n + 1)
+        if stop < r:
+            count += 2 * np.bincount(distance[:, inside:].ravel(),
+                                     minlength=n + 1)
         i, j = np.divmod(np.flatnonzero(distance <= reach), r - start)
         later = j > i
         if later.any():
@@ -601,10 +638,13 @@ def _pair_census(grid: np.ndarray, reach: int) -> _Census:
                    tuple(np.concatenate(side) for side in zip(*found)))
 
 
-def _census(grid: np.ndarray, k: int, reach: int) -> Optional[_Census]:
+def _census(grid: np.ndarray, k: int, reach: int,
+            d: int) -> Optional[_Census]:
     """`_pair_census(grid, reach)` where it costs less than the block scan
-    at k (`_census_pays`), else None: the one place that chooses."""
-    return _pair_census(grid, reach) if _census_pays(grid, k) else None
+    at k for rows over d levels (`_census_pays`), else None: the one place
+    that chooses."""
+    return (_pair_census(grid, reach) if _census_pays(grid, k, reach, d)
+            else None)
 
 
 def _delsarte_strength(distances: Sequence[int], n: int, d: int,

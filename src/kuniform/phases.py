@@ -127,7 +127,7 @@ def _checked_cells(array: OrthogonalArray, k: int) -> Iterator[tuple]:
     Where the pair census pays, it proves the strength and lists the close
     pairs, in one pass."""
     n, grid = array.factors, array.grid
-    census = _census(grid, k, k)
+    census = _census(grid, k, k, array.levels)
     if census is None:
         strong, close = _has_strength(array, k), None
     else:

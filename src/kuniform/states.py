@@ -19,8 +19,9 @@ most DENSE_BYTES_LIMIT bytes) is the public one-subset reduction.
 `max_uniformity` stops after the first block of subsets that holds a
 failing one.
 
-Where the pair census pays (`oa._census_pays`: r * words < C(N, k)), it
-replaces the scan's proof.  Strength k (Delsarte's test on the distance
+Where the pair census pays (`oa._census_pays`: r * words < C(N, k), or
+all r**2 pair words in half a chunk when d**k divides r), it replaces the
+scan's proof.  Strength k (Delsarte's test on the distance
 distribution) with no two terms within distance k makes every reduction
 exactly I/d**k, whatever the phases: `uniformity` then builds its records
 with no scan, and `_is_k_uniform` answers True.  A fast False comes only
@@ -439,7 +440,7 @@ def uniformity(state: PureState, k: int,
     _require_listable(comb(n, k), sys.getsizeof(SubsetReport((), True, 0.0))
                       + sys.getsizeof((0,) * k) + sys.getsizeof(0.0) + 8,
                       f"a report of {comb(n, k)} subsets")
-    census = _census(state.grid, k, k)
+    census = _census(state.grid, k, k, d)
     strong = census is not None and census.strength(d, k) >= k
     # tuple.__new__ makes each record with no Python frame per subset
     record = partial(tuple.__new__, SubsetReport)
@@ -477,7 +478,7 @@ def _is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> bool:
     _require_tol(tol)
     if _unbalanced(state, k, tol):
         return False
-    return _certifies(state, k, tol, _census(state.grid, k, k))
+    return _certifies(state, k, tol, _census(state.grid, k, k, state.levels))
 
 
 def _unbalanced(state: PureState, k: int, tol: float) -> bool:
@@ -526,15 +527,17 @@ def max_uniformity(state: PureState, tol: float = DEFAULT_TOL) -> int:
     """Largest k <= floor(N/2) whose uniformity check certifies (0 if even
     k = 1 fails); checks upward and stops at the first k that fails, which
     is sound because k-uniformity implies k'-uniformity for k' < k.  The
-    pair census is taken once, at the first k where it pays (it then pays
-    for every larger k <= N/2), and serves every k from there on."""
+    pair census is taken once, at the first k where it pays, and serves
+    every k from there on: a small state (all r**2 pair words in half a
+    chunk and d dividing r, `oa._census_pays`) takes it at k = 1, and
+    where it decides every k no `_close_pairs` call and no scan runs."""
     best, census = 0, None
     for k in range(1, state.qudits // 2 + 1):
         _require_tol(tol)
         if _unbalanced(state, k, tol):
             break
         if census is None:
-            census = _census(state.grid, k, k)
+            census = _census(state.grid, k, k, state.levels)
         if not _certifies(state, k, tol, census):
             break
         best = k

@@ -61,8 +61,8 @@ def on_path(census, call):
     if census is None:
         return call()
     with pytest.MonkeyPatch.context() as patch:
-        rule = ((lambda grid, k: 0 <= k <= grid.shape[1]) if census
-                else (lambda grid, k: False))
+        rule = ((lambda grid, k, reach, d: 0 <= k <= grid.shape[1])
+                if census else (lambda grid, k, reach, d: False))
         patch.setattr(kuniform.oa, "_census_pays", rule)
         return call()
 
@@ -385,7 +385,7 @@ def test_a_proven_state_without_close_pairs_forms_no_codes(monkeypatch):
     monkeypatch.setattr(kuniform.oa, "_kept_codes", spy)
     monkeypatch.setattr(kuniform.states, "_kept_codes", spy)
     state = hadamard_two_uniform_state(40)
-    assert kuniform.oa._census_pays(state.grid, 2)
+    assert kuniform.oa._census_pays(state.grid, 2, 2, 2)
     report = uniformity(state, 2)
     assert report.certified and len(report.subsets) == math.comb(40, 2)
     assert _is_k_uniform(state, 2)
@@ -393,6 +393,83 @@ def test_a_proven_state_without_close_pairs_forms_no_codes(monkeypatch):
     # the scan, for contrast, forms the codes of every block
     assert on_path(False, lambda: uniformity(state, 2)) == report
     assert calls
+
+
+def spy_calls(monkeypatch, names):
+    """Count the calls of the oa kernels `names`, wherever they are
+    looked up."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(kuniform.oa, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (kuniform.oa, kuniform.states):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(8, 20))
+def test_small_hadamard_states_take_one_census_and_no_scan(monkeypatch, n):
+    # r <= 32 rows of one 64-bit word: the census fits half a chunk, so
+    # max_uniformity takes it at k = 1, where r * words >= C(N, 1) would
+    # choose the scan, and it answers every k
+    state = hadamard_two_uniform_state(n)
+    best = on_path(False, lambda: max_uniformity(state))
+    calls = spy_calls(monkeypatch, ("_pair_census", "_close_pairs",
+                                    "_kept_codes"))
+    assert max_uniformity(state) == best
+    assert calls == {"_pair_census": 1, "_close_pairs": 0, "_kept_codes": 0}
+
+
+def balanced_state(rows, n, d, seed):
+    """A common-phase state on `rows` distinct random words over d levels
+    and each of their d shifts (x + s mod d), so strength 1 holds; plus
+    one more word when `rows` is no multiple of d."""
+    rng = np.random.default_rng(seed)
+    base = np.unique(rng.integers(0, d, (rows, n)), axis=0)[:rows // d]
+    grid = np.unique(np.concatenate([(base + s) % d for s in range(d)]),
+                     axis=0)
+    while len(grid) < rows:
+        grid = np.unique(np.vstack([grid, rng.integers(0, d, (1, n))]),
+                         axis=0)
+    assert grid.shape == (rows, n)
+    return kuniform.states._from_grid(grid.astype(np.uint8), d,
+                                      np.ones(rows))
+
+
+@pytest.mark.parametrize("rows,n,d,pays", [
+    (128, 70, 2, False),   # r**2 words = 2**15: one census chunk
+    (129, 70, 2, False),   # one row more: two chunks
+    (128, 40, 2, True),    # r**2 words = 2**14: the largest census at k = 1
+    (129, 30, 3, False),   # one row more, strength 1 still possible
+])
+def test_the_chunk_boundaries_on_every_path(rows, n, d, pays):
+    state = balanced_state(rows, n, d, rows + n)
+    grid = state.grid
+    assert kuniform.oa._census_pays(grid, 1, 1, d) is pays
+    distances = list(_pair_census(grid, 1).distances)
+    assert distances == all_pairs_distribution(grid.tolist())
+    check_paths(state, (1, 2), [DEFAULT_TOL])
+
+
+def test_a_state_with_no_possible_strength_keeps_the_scan(monkeypatch):
+    # 127 rows in one word fit half a census chunk, but 2 does not divide
+    # 127: strength 1 is impossible, so the census could decide nothing
+    # the scan does not, and only the scan runs
+    rng = np.random.default_rng(7)
+    grid = np.unique(rng.integers(0, 2, (400, 12)), axis=0)
+    grid = grid[rng.permutation(len(grid))[:127]].astype(np.uint8)
+    state = kuniform.states._from_grid(grid, 2, np.ones(127))
+    assert 2 * 127 ** 2 <= kuniform.oa._BLOCK_CELLS
+    assert not kuniform.oa._census_pays(grid, 1, 1, 2)
+    want = on_path(False, lambda: uniformity(state, 1))
+    calls = spy_calls(monkeypatch, ("_pair_census", "_close_pairs"))
+    assert uniformity(state, 1) == want and not want.certified
+    assert calls == {"_pair_census": 0, "_close_pairs": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -139,24 +139,32 @@ def test_oa_verify_reads_irredundancy_from_one_close_pair_pass(
         runner, tmp_path, fixtures_dir, monkeypatch):
     # neither array is irredundant at its strength: oa_8_4_2_3 (strength 3)
     # has rows at distance 2, and two stacked copies of bush_oa(3, 2)
-    # repeat every row
+    # repeat every row.  oa_8_4_2_3 has index unity (8 = 2**3), so the
+    # Singleton bound gives its distance with no pass over the pairs; the
+    # stacked array takes one close-pair pass at its strength
     calls = []
-    real = cli_module._close_pairs
+    real_pairs, real_census = cli_module._close_pairs, oa_module._pair_census
 
     def spy(grid, k):
         calls.append(k)
-        return real(grid, k)
+        return real_pairs(grid, k)
+
+    def census_spy(grid, reach):
+        calls.append("census")
+        return real_census(grid, reach)
 
     for module in (oa_module, cli_module):
         monkeypatch.setattr(module, "_close_pairs", spy)
+    monkeypatch.setattr(oa_module, "_pair_census", census_spy)
     bush = bush_oa(3, 2)
     stacked = tmp_path / "stacked.oa"
     stacked.write_text(write_oa_file(juxtapose([bush, bush])))
-    for path, s, want in ((fixtures_dir / "oa_8_4_2_3.oa", 3, [1]),
-                          (stacked, 2, [])):
+    for path, s, want, passes in (
+            (fixtures_dir / "oa_8_4_2_3.oa", 3, [1], []),
+            (stacked, 2, [], [2])):
         calls.clear()
         result = invoke(runner, "oa", "verify", str(path))
-        assert (result.exit_code, calls) == (0, [s])
+        assert (result.exit_code, calls) == (0, passes)
         assert json.loads(result.output)["irredundant_at"] == want
         array = parse_oa_file(path.read_text(encoding="utf-8"))
         assert result.output == oracle_verify_output(array, s)

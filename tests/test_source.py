@@ -28,3 +28,25 @@ def test_no_function_name_is_defined_in_two_modules():
                 modules.setdefault(node.name, []).append(path.name)
     assert {name: where for name, where in modules.items()
             if len(where) > 1} == {}
+
+
+def test_only_the_cost_rule_runs_the_pair_census():
+    # `oa._census` is the one place that weighs the census against the
+    # scan: any other use of `_pair_census` would run it unweighed
+    source = pathlib.Path(kuniform.__file__).parent
+    users = set()
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name != "_pair_census":
+                continue
+            inside = [f.name for f in functions
+                      if f.lineno <= node.lineno <= f.end_lineno]
+            users.add((path.name, inside[-1] if inside else None))
+    assert users == {("oa.py", "_census")}
