@@ -37,6 +37,7 @@ from .graphs import graph_from_state, to_dot, to_json
 from .oa import (
     OrthogonalArray,
     _census,
+    _certified,
     _close_pairs,
     _has_strength,
     derive as derive_array,
@@ -186,6 +187,8 @@ def oa_transform(file: str, remove_cols: Optional[str],
     if remove_cols is not None:
         result = remove_columns(array, _one_based_columns(remove_cols,
                                                           "--remove-cols"))
+        # the header states the largest strength, not the carried min(k, N')
+        result = _certified(result.grid, result.levels, max_strength(result))
     elif derive_symbol is not None:
         result = derive_array(array, derive_symbol)
     else:

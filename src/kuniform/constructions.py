@@ -294,24 +294,16 @@ def choose_hadamard_order(n: int) -> int:
     """Smallest supported Hadamard order kappa whose window
     kappa/2 + 2 <= N <= kappa - 1 admits N parties.
 
-    Plain sizes use kappa = 2**v; sizes of the form 2**t or 2**t + 1 (t > 2)
-    fall outside every power-of-two window and use kappa = 12 * 2**(v-3)
-    with the window 3*2**(v-2) + 2 <= N <= 3*2**(v-1).
+    With t = n.bit_length() - 1 (so 2**t <= n < 2**(t+1)): kappa = 2**(t+1),
+    whose window is 2**t + 2 <= N <= 2**(t+1) - 1, except for n = 2**t and
+    2**t + 1, which fall outside every power-of-two window and use
+    kappa = 3 * 2**(t-1), whose window 3 * 2**(t-2) + 2 <= N holds them
+    for t >= 3.
     """
     if n <= 5:
         raise Unsupported(f"no 2-uniform pipeline for n = {n} (need n >= 6)")
-    exceptional = any(n == 2 ** t or n == 2 ** t + 1 for t in range(3, n.bit_length() + 1))
-    if exceptional:
-        v = 3
-        while True:
-            if 3 * 2 ** (v - 2) + 2 <= n <= 3 * 2 ** (v - 1):
-                return 12 * 2 ** (v - 3)
-            v += 1
-    v = 3
-    while True:
-        if 2 ** (v - 1) + 2 <= n <= 2 ** v - 1:
-            return 2 ** v
-        v += 1
+    t = n.bit_length() - 1
+    return 3 << (t - 1) if n - (1 << t) <= 1 else 2 << t
 
 
 def hadamard_two_uniform_state(n: int) -> "PureState":

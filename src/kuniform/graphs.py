@@ -9,8 +9,9 @@ reductions for states whose terms all carry one common phase:
 
 Checking both rules over every partition certifies k-uniformity for that
 phase class; states with mixed phases must use the spectral certifier.
-Over all partitions the rules are array properties of the terms' words:
-B' is strength k and A' is irredundancy at k.
+Over all partitions the rules are array properties of the terms' words
+(B' is strength k, A' irredundancy at k), and the graphs all coincide iff
+column permutations keep the words: no partition is visited.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -111,7 +112,7 @@ def is_k_uniform_by_graphs(state: PureState, k: int) -> bool:
     test, and no two words within distance k); otherwise by the scan."""
     _require_proper_k(k, state.qudits)
     _require_common_phase(state)
-    census = _census(state.grid, k, -1, state.levels)
+    census = _census(state.grid, k, k, state.levels)
     if census is not None:
         return census.strength(state.levels, k) >= k and census.separation > k
     array = OrthogonalArray(state.grid, state.levels)
@@ -119,31 +120,29 @@ def is_k_uniform_by_graphs(state: PureState, k: int) -> bool:
 
 
 def graphs_identical(state: PureState, k: int) -> bool:
-    """True iff the edge multisets -- as (kept-word, dropped-word) label
-    pairs -- coincide across all C(N, k) partitions: the words with their
-    columns reordered kept-first are one set for every partition."""
+    """True iff the edge sets -- (kept-word, dropped-word) label pairs --
+    coincide across all C(N, k) partitions, for any k.  The kept-first
+    orders of R + {i} and R + {i + 1} (R any k - 1 columns but i, i + 1)
+    differ by swapping columns i and i + 1, so the graphs coincide iff
+    column permutations keep the words: iff the swap of columns 0 and 1
+    and the rotation by one column, which generate them, keep the sorted
+    grid (its rows are in word order)."""
     n = state.qudits
     _require_proper_k(k, n)
     _require_common_phase(state)
     grid = state.grid
-    reference = None
-    for kept in combinations(range(n), k):
-        cols = list(kept) + [i for i in range(n) if i not in kept]
-        edges = grid[_group_rows(grid, cols)[0]][:, cols]
-        if reference is None:
-            reference = edges
-        elif not np.array_equal(edges, reference):
-            return False
-    return True
+    return all(np.array_equal(grid[_group_rows(grid, cols)[0]][:, cols], grid)
+               for cols in ([1, 0, *range(2, n)], [*range(1, n), 0]))
 
 
 def is_product_across(graph: BipartiteGraph) -> bool:
     """Advisory separability flag: the state factorizes across this
-    partition iff the edge set is exactly (active A) x (active B)."""
+    partition iff the edge set is exactly (active A) x (active B).  The
+    edges lie in that product, so equal sizes mean equal sets."""
     pairs = {(a, b) for a, b, _ in graph.edges}
     active_a = {a for a, _ in pairs}
     active_b = {b for _, b in pairs}
-    return pairs == {(a, b) for a in active_a for b in active_b}
+    return len(pairs) == len(active_a) * len(active_b)
 
 
 # ---------------------------------------------------------------------------

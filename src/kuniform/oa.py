@@ -626,11 +626,12 @@ def _pair_census(grid: np.ndarray, reach: int) -> _Census:
         if stop < r:
             count += 2 * np.bincount(distance[:, inside:].ravel(),
                                      minlength=n + 1)
-        i, j = np.divmod(np.flatnonzero(distance <= reach), r - start)
-        later = j > i
-        if later.any():
-            i, j = i[later], j[later]
-            found.append((i + start, j + start, supports(lit[:, i, j])))
+        if reach >= 0:
+            i, j = np.divmod(np.flatnonzero(distance <= reach), r - start)
+            later = j > i
+            if later.any():
+                i, j = i[later], j[later]
+                found.append((i + start, j + start, supports(lit[:, i, j])))
         start = stop
     hit = np.flatnonzero(count[1:])
     separation = 0 if count[0] > r else int(hit[0]) + 1 if len(hit) else n + 1
@@ -804,12 +805,13 @@ def cecc_singleton_holds(n: int, code_len: int, distance: int, d: int) -> CeccRe
 
 # ---------------------------------------------------------------------------
 # transformations: a declared strength is carried by the theorem behind each
-# one (permutations keep it, derive lowers it by one, stacking keeps the
-# minimum), never verified again
+# one (permutations keep it, removing columns caps it at the columns left,
+# derive lowers it by one, stacking keeps the minimum), never verified again
 # ---------------------------------------------------------------------------
 
 def remove_columns(array: OrthogonalArray, cols: Iterable[int]) -> OrthogonalArray:
-    """Drop the given 0-based columns; declared strength is not carried."""
+    """Drop the given 0-based columns; a declared strength k becomes
+    min(k, N') for the N' columns left."""
     n = array.factors
     keep = np.ones(n, dtype=bool)
     for c in cols:
@@ -818,7 +820,9 @@ def remove_columns(array: OrthogonalArray, cols: Iterable[int]) -> OrthogonalArr
         keep[c] = False
     if not keep.any():
         raise EmptyResult("removing every column leaves nothing")
-    return OrthogonalArray(array.grid[:, keep], array.levels)
+    declared = (None if array.strength is None
+                else min(array.strength, int(keep.sum())))
+    return _certified(array.grid[:, keep], array.levels, declared)
 
 
 def derive(array: OrthogonalArray, symbol: int) -> OrthogonalArray:

@@ -629,6 +629,31 @@ def per_subset_report(state, k, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
+# partition graphs, one partition at a time
+# ---------------------------------------------------------------------------
+
+def graphs_identical_by_partitions(rows, k):
+    """True iff every k-column partition gives the same edge set
+    {(kept word, dropped word)} of the rows, each word read in column
+    order: the definition, compared partition by partition."""
+    n = len(rows[0])
+    edge_sets = set()
+    for kept in combinations(range(n), k):
+        dropped = [c for c in range(n) if c not in kept]
+        edge_sets.add(frozenset((tuple(row[c] for c in kept),
+                                 tuple(row[c] for c in dropped))
+                                for row in rows))
+    return len(edge_sets) == 1
+
+
+def product_across(edges):
+    """True iff the (a, b) pairs of `edges` are every pair of an active a
+    with an active b: the product set, built."""
+    pairs = {(a, b) for a, b, *_ in edges}
+    return pairs == {(a, b) for a, _ in pairs for _, b in pairs}
+
+
+# ---------------------------------------------------------------------------
 # sign search
 # ---------------------------------------------------------------------------
 
@@ -673,6 +698,23 @@ def rao_closed_form_d2(n, k):
     if k == 5:
         return n * n - n + 2
     raise ValueError(k)
+
+
+def hadamard_order_by_windows(n):
+    """The smallest order kappa = 2**v whose window
+    2**(v-1) + 2 <= n <= 2**v - 1 holds n, or for n = 2**t and 2**t + 1
+    (t >= 3) the smallest kappa = 3 * 2**(v-1) whose window
+    3 * 2**(v-2) + 2 <= n <= 3 * 2**(v-1) holds n, searched window by
+    window."""
+    if any(n in (2 ** t, 2 ** t + 1) for t in range(3, n.bit_length() + 1)):
+        v = 3
+        while not 3 * 2 ** (v - 2) + 2 <= n <= 3 * 2 ** (v - 1):
+            v += 1
+        return 3 * 2 ** (v - 1)
+    v = 3
+    while not 2 ** (v - 1) + 2 <= n <= 2 ** v - 1:
+        v += 1
+    return 2 ** v
 
 
 def all_words(n, d):

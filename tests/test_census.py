@@ -490,6 +490,17 @@ def test_graph_rules_on_both_paths(fixtures_dir):
             assert verdict is uniformity(state, k).certified
 
 
+def test_graph_rules_take_one_census_where_the_close_pairs_would(monkeypatch):
+    # 49 rows over 8 columns: the census does not pay for strength alone
+    # (r * words = 49 >= C(8, 2) = 28), but all its pair words fit half a
+    # chunk, as for the other readers of the close pairs
+    state = state_from_oa(bush_oa(7, 2))
+    calls = spy_calls(monkeypatch, ("_pair_census", "_close_pairs",
+                                    "_kept_codes"))
+    assert is_k_uniform_by_graphs(state, 2)
+    assert calls == {"_pair_census": 1, "_close_pairs": 0, "_kept_codes": 0}
+
+
 def sign_answer(array, k):
     """constraint_system's constraints or its error, and fix_state's
     phases or its error."""

@@ -23,6 +23,7 @@ from kuniform import (
     permute_levels,
     permute_rows,
     rao_oa,
+    remove_columns,
     verify_strength,
 )
 from kuniform.constructions import _independent_columns, _linear_oa
@@ -153,6 +154,7 @@ def test_transforms_carry_a_proven_strength(construct, params, seed):
     rng = np.random.default_rng([seed, *params])
     a = construct(*params)
     r, n, q, k = a.runs, a.factors, a.levels, a.strength
+    drop = rng.choice(n, int(rng.integers(n)), replace=False).tolist()
 
     def relabeled(b):
         return permute_levels(b, [rng.permutation(q) for _ in range(n)])
@@ -162,6 +164,7 @@ def test_transforms_carry_a_proven_strength(construct, params, seed):
         "columns": (permute_columns(a, rng.permutation(n)), k),
         "levels": (relabeled(a), k),
         "derive": (derive(a, int(rng.integers(q))), k - 1),
+        "remove": (remove_columns(a, drop), min(k, n - len(drop))),
         "juxtapose": (juxtapose([a, relabeled(a)]), k),
         "extend": (extend_with_symbol([relabeled(a) for _ in range(q)]), k),
         "chain": (derive(permute_rows(relabeled(a), rng.permutation(r)),

@@ -188,6 +188,36 @@ def test_oa_transform_remove_cols(runner, fixtures_dir):
     assert sorted(arr.rows) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def catalog_text(rows, d):
+    """Catalog text whose header states the rows' largest strength."""
+    header = (f"oa {len(rows)} {len(rows[0])} {d} "
+              f"{oracles.naive_max_strength(rows, d)}\n")
+    return header + "".join("".join(oracles.DIGITS36[v] for v in row) + "\n"
+                            for row in rows)
+
+
+def test_oa_transform_remove_cols_states_the_largest_strength(runner,
+                                                              fixtures_dir,
+                                                              tmp_path):
+    # the header is the largest strength of the result, which can exceed
+    # the min(k, N') carried by remove_columns: rao_oa(2, 3) less columns
+    # 1-4 has strength 3 where min(2, 3) = 2
+    rao = tmp_path / "rao.oa"
+    rao.write_text(write_oa_file(rao_oa(2, 3)))
+    cases = [(rao, (1, 2, 3, 4))]
+    for path in sorted(fixtures_dir.glob("*.oa")):
+        n = oracles.read_oa_fixture(path)[0][1]
+        cases += [(path, drop) for size in range(1, n)
+                  for drop in itertools.combinations(range(1, n + 1), size)]
+    for path, drop in cases:
+        (_, _, d, _), rows = oracles.read_oa_fixture(path)
+        result = invoke(runner, "oa", "transform", str(path), "--remove-cols",
+                        ",".join(map(str, drop)))
+        assert result.exit_code == 0, (path.name, drop)
+        want = oracles.remove_columns_rows(rows, [c - 1 for c in drop])
+        assert result.output == catalog_text(want, d), (path.name, drop)
+
+
 def test_oa_transform_derive(runner, fixtures_dir):
     path = str(fixtures_dir / "oa_8_4_2_3.oa")
     result = invoke(runner, "oa", "transform", path, "--derive", "0")

@@ -31,6 +31,8 @@ from kuniform import (
     verify_strength,
 )
 
+import oracles
+
 
 def assert_valid(h: HadamardMatrix):
     a = h.as_array()
@@ -235,6 +237,11 @@ def test_choose_hadamard_order_window_invariant():
     for n in range(6, 34):
         kappa = choose_hadamard_order(n)
         assert kappa // 2 + 2 <= n <= kappa - 1
+
+
+def test_choose_hadamard_order_is_the_window_search():
+    for n in range(6, 5001):
+        assert choose_hadamard_order(n) == oracles.hadamard_order_by_windows(n)
 
 
 def test_choose_hadamard_order_too_small():

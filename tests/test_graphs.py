@@ -2,8 +2,12 @@
 
 import json
 import time
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuniform import (
     AdjacencyMatrix,
@@ -28,6 +32,9 @@ from kuniform import (
     to_json,
 )
 from kuniform import PureState, TooLarge
+from kuniform.states import _from_grid
+
+import oracles
 
 
 def load_ket(fixtures_dir, name):
@@ -136,6 +143,96 @@ def test_graphs_identical_examples(fixtures_dir):
 def test_graphs_identical_rejects_mixed_phases(fixtures_dir):
     with pytest.raises(PhasesPresent):
         graphs_identical(load_ket(fixtures_dir, "signed_n5_k2"), 2)
+
+
+def common_phase_state(words, d):
+    return _from_grid(np.array(sorted(words), dtype=np.uint8), d,
+                      np.ones(len(words)))
+
+
+@st.composite
+def word_sets(draw):
+    """(words, d): unions of column-permutation orbits, the same less one
+    word, linear codes over Z_d, and random word sets."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.sampled_from([2, 3, 4, 5, 7, 36]))
+    word = st.tuples(*[st.integers(0, d - 1)] * n)
+    kind = draw(st.sampled_from(["orbits", "orbits less one", "linear",
+                                 "random"]))
+    if kind == "linear":
+        rows = draw(st.integers(1, 3 if d ** 2 > 64 else 4 if d > 2 else 6))
+        basis = np.array(draw(st.lists(word, min_size=rows, max_size=rows)))
+        coefficients = np.array(list(np.ndindex(*[d] * rows)))
+        words = set(map(tuple, (coefficients @ basis % d).tolist()))
+    elif kind == "random":
+        words = set(draw(st.lists(word, min_size=1, max_size=40)))
+    else:
+        seeds = draw(st.lists(word, min_size=1, max_size=3))
+        words = {w for seed in seeds for w in permutations(seed)}
+        if kind == "orbits less one" and len(words) > 1:
+            words.discard(draw(st.sampled_from(sorted(words))))
+    return sorted(words), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_sets())
+def test_graphs_identical_against_every_partition(case):
+    words, d = case
+    state = common_phase_state(words, d)
+    n = state.qudits
+    for k in range(1, n):
+        got = graphs_identical(state, k)
+        assert type(got) is bool
+        assert got == oracles.graphs_identical_by_partitions(words, k)
+    for k in (0, n):
+        with pytest.raises(ParameterViolation):
+            graphs_identical(state, k)
+
+
+def test_graphs_identical_on_a_large_symmetric_support():
+    # the 16-qubit weight-8 Dicke support: one check per generator of the
+    # column permutations, not one per each of the 12,870 partitions
+    words = [tuple(int(c in ones) for c in range(16))
+             for ones in combinations(range(16), 8)]
+    state = common_phase_state(words, 2)
+    start = time.perf_counter()
+    assert graphs_identical(state, 8) is True
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def partitioned_word_sets(draw):
+    """(words, d): random word sets, and products of a word set on some
+    columns with one on the others."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(2, 4))
+
+    def words(length, most):
+        return draw(st.lists(st.tuples(*[st.integers(0, d - 1)] * length),
+                             min_size=1, max_size=most, unique=True))
+
+    if not draw(st.booleans()):
+        return words(n, 30), d
+    kept = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    order = sorted(kept) + [c for c in range(n) if c not in kept]
+    product = [a + b for a in words(len(kept), 6)
+               for b in words(n - len(kept), 6)]
+    # column order[i] holds symbol i of a product word
+    return [tuple(w[order.index(c)] for c in range(n)) for w in product], d
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitioned_word_sets())
+def test_is_product_across_against_the_product_set(case):
+    words, d = case
+    state = common_phase_state(words, d)
+    n = state.qudits
+    for k in range(1, n):
+        for kept in combinations(range(n), k):
+            graph = graph_from_state(state, kept)
+            got = is_product_across(graph)
+            assert type(got) is bool
+            assert got == oracles.product_across(graph.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,11 @@ def test_transforms_carry_a_declared_strength_without_verifying(monkeypatch):
                permute_levels(a, [[1, 2, 0]] * 4),
                derive(a, 0),
                juxtapose([a, a]),
-               extend_with_symbol([a, a, a])]
+               extend_with_symbol([a, a, a]),
+               remove_columns(a, [0]),
+               remove_columns(a, [0, 1, 2])]
     assert calls == []
-    assert [b.strength for b in results] == [2, 2, 2, 1, 2, 2]
+    assert [b.strength for b in results] == [2, 2, 2, 1, 2, 2, 2, 1]
 
 
 def test_catalog_strength_is_verified_once(monkeypatch):
