@@ -40,6 +40,7 @@ from .oa import (
     _certified,
     _close_pairs,
     _has_strength,
+    _max_strength,
     derive as derive_array,
     gv_holds,
     max_strength,
@@ -130,6 +131,7 @@ def oa() -> None:
 def oa_verify(file: str, strength: Optional[int]) -> None:
     """Report strength, index, tightness, and irredundancy as JSON."""
     array = parse_oa_file(_read(file))
+    census = None
     if strength is not None:
         if not 0 <= strength <= array.factors or \
                 not _has_strength(array, strength):
@@ -137,16 +139,18 @@ def oa_verify(file: str, strength: Optional[int]) -> None:
             sys.exit(2)
         s = strength
     else:
-        s = max_strength(array)
+        s, census = _max_strength(array)
     # irredundancy at k means no two rows within distance k, so it holds at
     # 1..t for t = s, or one below the smallest distance between two rows.
     # At index unity (r = d**s) no two rows agree on s columns, so the rows
     # are an MDS code: the distance is N - s + 1, the Singleton bound.
-    # Otherwise from a pair census where it pays, else from the close pairs
+    # Otherwise from a pair census (the strength walk's, or one where it
+    # pays), else from the close pairs
     grid = array.grid
     if array.runs == array.levels ** s:
         separation = array.factors - s + 1
-    elif (census := _census(grid, s, -1, array.levels)) is not None:
+    elif census is not None or \
+            (census := _census(grid, s, -1, array.levels)) is not None:
         separation = census.separation
     else:
         distance = np.bitwise_count(_close_pairs(grid, s)[2]).sum(1)

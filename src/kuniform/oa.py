@@ -208,16 +208,22 @@ def max_strength(array: OrthogonalArray) -> int:
     and stops at a k that fails or that r/d**k cannot reach.  At the first
     k where the pair census costs less than the scan, one census answers
     for every k by Delsarte's test."""
+    return _max_strength(array)[0]
+
+
+def _max_strength(array: OrthogonalArray) -> Tuple[int, Optional[_Census]]:
+    """`max_strength`, and the pair census (reach -1) its walk took, if
+    any, for callers that read more off it."""
     grid, d = array.grid, array.levels
     k = array.strength or 0
     while k < array.factors and array.runs % d ** (k + 1) == 0:
         census = _census(grid, k + 1, -1, d)
         if census is not None:
-            return census.strength(d, array.factors)
+            return census.strength(d, array.factors), census
         if not verify_strength(array, k + 1):
             break
         k += 1
-    return k
+    return k, None
 
 
 def oa_index(array: OrthogonalArray, k: int) -> int:
@@ -870,11 +876,26 @@ def extend_with_symbol(arrays: Sequence[OrthogonalArray]) -> OrthogonalArray:
     return _certified(grid, d, strength)
 
 
+def _integral(spec, values: np.ndarray, entries: Iterable) -> bool:
+    """True when `values`, numpy's reading of `spec`, holds integers that
+    were integers in `spec`: Python ints and numpy integers, not bools.
+    numpy reads a bool among ints as an int, so the entry types of a spec
+    that is no array are checked too; `entries` iterates them."""
+    return values.dtype.kind in "iu" and (
+        isinstance(spec, np.ndarray)
+        or set(map(type, entries)).isdisjoint((bool, np.bool_)))
+
+
 def _check_permutation(spec: Sequence[int], size: int, what: str) -> np.ndarray:
-    perm = np.asarray(spec, dtype=np.intp)
-    if perm.shape != (size,) or \
+    """`spec` as an integer array; NotAPermutation unless it is a
+    permutation of 0..size - 1 whose entries are integers."""
+    perm = np.asarray(spec)
+    integral = perm.ndim == 1 and _integral(spec, perm, spec)
+    if not integral or perm.shape != (size,) or \
             not np.array_equal(np.sort(perm), np.arange(size)):
-        raise NotAPermutation(f"{what} spec {tuple(perm.tolist())} is not a "
+        shown = perm if integral else \
+            np.atleast_1d(np.asarray(spec, dtype=object))
+        raise NotAPermutation(f"{what} spec {tuple(shown.tolist())} is not a "
                               f"permutation of 0..{size - 1}")
     return perm
 
@@ -891,12 +912,21 @@ def permute_columns(array: OrthogonalArray, spec: Sequence[int]) -> OrthogonalAr
 
 def permute_levels(array: OrthogonalArray,
                    spec: Sequence[Sequence[int]]) -> OrthogonalArray:
-    """Apply a per-column relabeling of 0..d-1 (one permutation per column)."""
-    n = array.factors
+    """Apply a per-column relabeling of 0..d-1 (one permutation per column):
+    level v of column j becomes spec[j][v].  The maps are checked as one
+    (N, d) table; only when it fails is each column checked in turn, so
+    that the first faulty one is named."""
+    n, d = array.factors, array.levels
     if len(spec) != n:
         raise NotAPermutation(
             f"need one level permutation per column ({n}), got {len(spec)}")
-    table = np.stack([_check_permutation(p, array.levels, f"level (column {j})")
-                      for j, p in enumerate(spec)])
-    return _certified(table[np.arange(n), array.grid], array.levels,
-                      array.strength)
+    try:
+        table = np.asarray(spec)
+    except ValueError:  # ragged: some map has the wrong length
+        table = None
+    if table is None or table.shape != (n, d) or \
+            not _integral(spec, table, chain.from_iterable(spec)) or \
+            (np.sort(table, axis=1) != np.arange(d)).any():
+        table = np.stack([_check_permutation(p, d, f"level (column {j})")
+                          for j, p in enumerate(spec)])
+    return _certified(table[np.arange(n), array.grid], d, array.strength)

@@ -32,6 +32,9 @@ from .states import (DIGITS36, PureState, _BYTE_VALUE, _DIGIT_BYTES,
                      _DIGIT_VALUE, _from_grid, _text_words)
 
 _SIGN_TOL = 1e-12
+#: `bytes.translate` table: the symbol value of each base-36 digit byte,
+#: 255 for every other byte.
+_SYMBOL_VALUE = _BYTE_VALUE.clip(max=255).astype(np.uint8).tobytes()
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,47 @@ class CatalogDocument:
 
 
 def parse_catalog(text: str) -> CatalogDocument:
+    """The pieces of a catalog file; ParseError, with the line (and the
+    column of a bad symbol), for malformed text.
+
+    Where every line up to the header ends in a newline and the body after
+    it holds only base-36 digits and newlines, as `write_oa_file` writes
+    it, the body is read in one pass (its rows are `body.split()`) and only
+    the lines up to the header go through `_parse_lines`.  Any other byte
+    in the body (``#``, a carriage return or other space, a non-digit or
+    non-ASCII character) sends the whole text through `_parse_lines`, the
+    one code that collects comments and places errors."""
+    start = _body_start(text)
+    if start is not None:
+        body = text[start:]
+        if body.isascii() and \
+                255 not in body.encode("ascii").translate(_SYMBOL_VALUE, b"\n"):
+            return _parse_lines(text[:start], body.split())
+    return _parse_lines(text, [])
+
+
+def _body_start(text: str) -> Optional[int]:
+    """The offset just past the header line (the first line with text
+    outside a comment), when every line up to it ends in one newline
+    (a carriage return before it included) and no other line break;
+    None otherwise."""
+    start = 0
+    while end := text.find("\n", start) + 1:
+        if text[start:end].partition("#")[0].strip():
+            head = text[:end]
+            # each newline ends one line of `str.splitlines` iff the counts
+            # agree
+            return end if len(head.splitlines()) == head.count("\n") else None
+        start = end
+    return None
+
+
+def _parse_lines(text: str, rows: List[str]) -> CatalogDocument:
+    """Read catalog text line by line; `rows` holds any rows read in bulk
+    after it."""
     comments = []
     header = None
     header_line = None
-    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code, _, comment = raw.partition("#")
         if comment and not code.strip():
@@ -89,23 +129,25 @@ def parse_oa_file(text: str) -> OrthogonalArray:
 
     Malformed text raises ParseError; well-formed text whose declared
     (runs, factors, levels, strength) disagree with the rows raises
-    ParameterMismatch.
+    ParameterMismatch.  Row lengths and symbols are checked on all rows at
+    once.
     """
     doc = parse_catalog(text)
     if len(doc.rows) != doc.runs:
         raise ParameterMismatch(
             f"header declares {doc.runs} runs, file has {len(doc.rows)}")
-    for row in doc.rows:
-        if len(row) != doc.factors:
-            raise ParameterMismatch(
-                f"header declares {doc.factors} factors, row {row!r} "
-                f"has {len(row)}")
-    raw = np.frombuffer("".join(doc.rows).encode("ascii"), dtype=np.uint8)
-    cells = _BYTE_VALUE[raw].reshape(doc.runs, doc.factors)
-    high = cells.max(axis=1) >= doc.levels
-    if high.any():
+    if set(map(len, doc.rows)) != {doc.factors}:
+        row = next(row for row in doc.rows if len(row) != doc.factors)
         raise ParameterMismatch(
-            f"row {doc.rows[int(high.argmax())]!r} uses symbols >= declared "
+            f"header declares {doc.factors} factors, row {row!r} "
+            f"has {len(row)}")
+    values = "".join(doc.rows).encode("ascii").translate(_SYMBOL_VALUE)
+    cells = np.frombuffer(values, dtype=np.uint8).reshape(doc.runs,
+                                                          doc.factors)
+    if cells.max() >= doc.levels:
+        high = int((cells.max(axis=1) >= doc.levels).argmax())
+        raise ParameterMismatch(
+            f"row {doc.rows[high]!r} uses symbols >= declared "
             f"levels {doc.levels}")
     if doc.strength is None:
         return OrthogonalArray(cells, doc.levels)

@@ -554,3 +554,23 @@ def test_oa_verify_output_on_both_paths(fixtures_dir, tmp_path):
         factors = parse_oa_file(path.read_text()).factors
         outputs = on_every_path(lambda: verify_outputs(path, factors))
         assert outputs[0][0] == 0
+
+
+def test_oa_verify_reads_the_separation_off_the_strength_census(
+        monkeypatch, tmp_path):
+    # one census proves the header strength (the parser), and the strength
+    # walk's census also gives the smallest distance between two rows
+    census = kuniform.oa._pair_census
+    calls = []
+
+    def spy(grid, reach):
+        calls.append(reach)
+        return census(grid, reach)
+    monkeypatch.setattr(kuniform.oa, "_pair_census", spy)
+    for params in ((2, 6), (3, 4), (4, 3)):
+        path = tmp_path / f"rao_{params}.oa"
+        path.write_text(write_oa_file(rao_oa(*params)))
+        calls.clear()
+        result = CliRunner().invoke(main, ["oa", "verify", str(path)])
+        assert result.exit_code == 0
+        assert calls == [-1, -1], params

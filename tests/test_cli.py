@@ -4,6 +4,7 @@ import gc
 import io
 import itertools
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +14,9 @@ from kuniform import (
     juxtapose,
     parse_ket,
     parse_oa_file,
+    permute_columns,
+    permute_levels,
+    permute_rows,
     rao_min_runs,
     rao_oa,
     write_ket,
@@ -450,3 +454,51 @@ def test_in_process_invocations_release_their_streams(runner, fixtures_dir):
         assert invoke(runner, "bounds", "rao", "--n", "0", "--d", "2",
                       "--k", "2").exit_code == 1
     assert live_streams() - before < 5
+
+
+#: `oa verify` stdout on each `.oa` fixture and on the benchmark's catalog
+#: arrays, as the line-by-line parser with its own separation census gave
+#: it; permuting columns, levels and rows changes none of it.
+VERIFY_OUTPUT = {
+    "oa_2_2_2_1.oa": (1, 1, True, [1]),
+    "oa_2_3_2_1.oa": (1, 1, True, [1]),
+    "oa_4_3_2_2.oa": (2, 1, True, [1]),
+    "oa_8_4_2_3.oa": (3, 1, True, [1]),
+    "oa_8_5_2_2.oa": (2, 2, False, [1]),
+    "oa_8_5_2_2_signfix.oa": (2, 2, False, [1]),
+    "bush_oa(16, 2)": (2, 1, True, [1, 2]),
+    "rao_oa(16, 2)": (2, 1, True, [1, 2]),
+    "bush_oa(8, 3)": (3, 1, False, [1, 2, 3]),
+    "rao_oa(2, 6)": (2, 16, True, [1, 2]),
+    "rao_oa(3, 4)": (2, 9, True, [1, 2]),
+    "bush_oa(13, 2)": (2, 1, True, [1, 2]),
+    "rao_oa(4, 3)": (2, 4, True, [1, 2]),
+    "bush_oa(9, 3)": (3, 1, False, [1, 2, 3]),
+}
+
+
+def test_oa_verify_output_is_unchanged_under_permutations(runner, tmp_path,
+                                                          fixtures_dir):
+    arrays = {path.name: parse_oa_file(path.read_text())
+              for path in sorted(fixtures_dir.glob("*.oa"))}
+    arrays.update((f"{c.__name__}{p}", c(*p)) for c, p in (
+        (bush_oa, (16, 2)), (rao_oa, (16, 2)), (bush_oa, (8, 3)),
+        (rao_oa, (2, 6)), (rao_oa, (3, 4)), (bush_oa, (13, 2)),
+        (rao_oa, (4, 3)), (bush_oa, (9, 3))))
+    assert arrays.keys() == VERIFY_OUTPUT.keys()
+    rng = random.Random(20)
+    path = tmp_path / "permuted.oa"
+    for name, array in arrays.items():
+        strength, index, tight, irredundant = VERIFY_OUTPUT[name]
+        expected = (f'{{"strength": {strength}, "index": {index}, '
+                    f'"tight": {str(tight).lower()}, '
+                    f'"irredundant_at": {irredundant}}}\n')
+        r, n, d = array.runs, array.factors, array.levels
+        permuted = permute_rows(permute_levels(
+            permute_columns(array, rng.sample(range(n), n)),
+            [rng.sample(range(d), d) for _ in range(n)]),
+            rng.sample(range(r), r))
+        for text in (write_oa_file(array), write_oa_file(permuted)):
+            path.write_text(text)
+            result = invoke(runner, "oa", "verify", str(path))
+            assert (result.exit_code, result.output) == (0, expected), name

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -372,3 +373,111 @@ def test_permutations_preserve_strength(fixtures_dir):
         permute_levels(a, [[1, 1], [0, 1], [0, 1]])
     with pytest.raises(NotAPermutation):
         permute_columns(a, [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# permutation specs: integers only; level maps checked as one table
+# ---------------------------------------------------------------------------
+
+def test_permutation_specs_must_hold_integers():
+    a = OrthogonalArray(((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)), 2)
+    for bad in ([1.5, 0.2], ["1", "0"], [True, False], [True, 0],
+                np.array([1.0, 0.0]), np.array([True, False])):
+        with pytest.raises(NotAPermutation, match=r"column 0\) spec"):
+            permute_levels(a, [bad] * 3)
+        with pytest.raises(NotAPermutation, match=r"column 2\) spec"):
+            permute_levels(a, [[0, 1], [1, 0], bad])
+    for bad in ([2.7, 0.1, 1.9], ["2", "0", "1"], [True, False, 2],
+                np.array([2.0, 0.0, 1.0])):
+        with pytest.raises(NotAPermutation, match="column spec"):
+            permute_columns(a, bad)
+    with pytest.raises(NotAPermutation, match="row spec"):
+        permute_rows(a, [3.0, 2, 1, 0])
+    rng = np.random.default_rng(5)
+    for spec in (rng.permutation(3), np.array([2, 0, 1], dtype=np.uint8),
+                 (2, 0, 1), range(3), [np.int64(2), 0, 1]):
+        assert permute_columns(a, spec).grid.shape == (4, 3)
+    assert permute_levels(a, [np.array([1, 0], dtype=np.uint8),
+                              [1, 0], np.array([1, 0])]) == \
+        permute_levels(a, [[1, 0]] * 3)
+
+
+def column_by_column(array, spec):
+    """`permute_levels` checking one column at a time, as it did before the
+    table check, with the integer rule."""
+    n, d = array.factors, array.levels
+    if len(spec) != n:
+        raise NotAPermutation(
+            f"need one level permutation per column ({n}), got {len(spec)}")
+    table = []
+    for j, p in enumerate(spec):
+        if not all(isinstance(v, (int, np.integer))
+                   and not isinstance(v, bool) for v in p):
+            raise NotAPermutation(f"level (column {j}) spec holds a "
+                                  f"non-integer")
+        perm = np.asarray(p, dtype=np.intp)
+        if perm.shape != (d,) or \
+                not np.array_equal(np.sort(perm), np.arange(d)):
+            raise NotAPermutation(f"level (column {j}) spec "
+                                  f"{tuple(perm.tolist())} is not a "
+                                  f"permutation of 0..{d - 1}")
+        table.append(perm)
+    return [tuple(int(table[j][v]) for j, v in enumerate(row))
+            for row in array.rows]
+
+
+@st.composite
+def level_specs(draw):
+    """(array, spec): level maps that are permutations, or with a column
+    that is ragged, repeats a level, leaves the range or holds a
+    non-integer, or too few or too many columns."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 5))
+    array = OrthogonalArray(draw(st.lists(
+        st.tuples(*[st.integers(0, d - 1)] * n), min_size=1, max_size=6)), d)
+    spec = [list(draw(st.permutations(range(d)))) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(
+            ["short", "long", "repeat", "range", "float", "bool", "str",
+             "array", "columns"]))
+        p = list(draw(st.permutations(range(d))))
+        if fault == "short":
+            p = p[:-1]
+        elif fault == "long":
+            p = p + [d]
+        elif fault == "repeat":
+            p[0] = p[1]
+        elif fault == "range":
+            p[0] = draw(st.sampled_from([-1, d]))
+        elif fault == "float":
+            p = [float(v) for v in p]
+        elif fault == "bool":
+            p[0] = bool(p[0] % 2)
+        elif fault == "str":
+            p = [str(v) for v in p]
+        elif fault == "array":
+            p = np.array(p)
+        else:
+            spec = spec[:-1] if draw(st.booleans()) else spec + [spec[0]]
+            break
+        spec[j] = p
+    return array, spec
+
+
+@settings(max_examples=400, deadline=None)
+@given(level_specs())
+def test_level_maps_match_the_column_by_column_check(array_spec):
+    array, spec = array_spec
+    try:
+        expected = column_by_column(array, spec)
+    except NotAPermutation as exc:
+        with pytest.raises(NotAPermutation) as raised:
+            permute_levels(array, spec)
+        if "non-integer" in str(exc):
+            # the same column, named as numpy reads its entries
+            assert str(raised.value).startswith(str(exc).split(" spec")[0])
+        else:
+            assert str(raised.value) == str(exc)
+    else:
+        assert list(permute_levels(array, spec).rows) == expected

@@ -1,22 +1,33 @@
 """Catalog (.oa) and ket text formats: round-trips and error reporting."""
 
 import cmath
+import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kuniform.serialize as serialize
 from kuniform import (
+    CatalogDocument,
+    KuniformError,
+    NotAnOAAtStrength,
     OrthogonalArray,
     ParameterMismatch,
     ParseError,
     PureState,
     Unsupported,
+    bush_oa,
     parse_catalog,
     parse_ket,
     parse_oa_file,
+    rao_oa,
     write_ket,
     write_oa_file,
 )
+from kuniform.states import _BYTE_VALUE, _DIGIT_VALUE
 
 
 # ---------------------------------------------------------------------------
@@ -171,3 +182,215 @@ def test_parse_ket_rejects_symbol_beyond_explicit_levels():
     from kuniform import ParameterViolation
     with pytest.raises(ParameterViolation):
         parse_ket("+|02>", levels=2)
+
+
+# ---------------------------------------------------------------------------
+# the catalog reader against the line-by-line reader it replaced
+# ---------------------------------------------------------------------------
+
+def line_by_line_catalog(text):
+    """Every line of the text in turn: the catalog reader before the body
+    was read in bulk."""
+    comments = []
+    header = None
+    header_line = None
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code, _, comment = raw.partition("#")
+        if comment and not code.strip():
+            comments.append(comment.strip())
+        line = code.strip()
+        if not line:
+            continue
+        if header is None:
+            fields = line.split()
+            if fields[0] != "oa" or len(fields) not in (4, 5):
+                raise ParseError(
+                    "expected header 'oa <runs> <factors> <levels> [strength]'",
+                    lineno)
+            try:
+                numbers = [int(f) for f in fields[1:]]
+            except ValueError:
+                raise ParseError("non-integer header field", lineno) from None
+            header = numbers + [None] * (5 - len(fields))
+            header_line = lineno
+            continue
+        if not _DIGIT_VALUE.keys() >= set(line):
+            col, ch = next((col, ch) for col, ch in enumerate(line, start=1)
+                           if ch not in _DIGIT_VALUE)
+            raise ParseError(f"invalid symbol {ch!r}", lineno, col)
+        rows.append(line)
+    if header is None:
+        raise ParseError("missing 'oa' header line", header_line or 1)
+    if not rows:
+        raise ParseError("no rows after the header", header_line)
+    return CatalogDocument(tuple(comments), header[0], header[1], header[2],
+                           header[3], tuple(rows))
+
+
+def row_by_row_oa_file(text):
+    """`parse_oa_file` before the rows were checked all at once."""
+    doc = line_by_line_catalog(text)
+    if len(doc.rows) != doc.runs:
+        raise ParameterMismatch(
+            f"header declares {doc.runs} runs, file has {len(doc.rows)}")
+    for row in doc.rows:
+        if len(row) != doc.factors:
+            raise ParameterMismatch(
+                f"header declares {doc.factors} factors, row {row!r} "
+                f"has {len(row)}")
+    raw = np.frombuffer("".join(doc.rows).encode("ascii"), dtype=np.uint8)
+    cells = _BYTE_VALUE[raw].reshape(doc.runs, doc.factors)
+    high = cells.max(axis=1) >= doc.levels
+    if high.any():
+        raise ParameterMismatch(
+            f"row {doc.rows[int(high.argmax())]!r} uses symbols >= declared "
+            f"levels {doc.levels}")
+    if doc.strength is None:
+        return OrthogonalArray(cells, doc.levels)
+    mismatch = ParameterMismatch(
+        f"rows do not have the declared strength {doc.strength}")
+    if not 0 <= doc.strength <= doc.factors:
+        raise mismatch
+    try:
+        return OrthogonalArray(cells, doc.levels, doc.strength)
+    except NotAnOAAtStrength:
+        raise mismatch from None
+
+
+def outcome(read, text):
+    """What read(text) gives: the document or array, or the exception's
+    class, message, line and column."""
+    try:
+        result = read(text)
+    except KuniformError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    if isinstance(result, OrthogonalArray):
+        return (result.grid.dtype, result.grid.tolist(), result.levels,
+                result.strength)
+    return result
+
+
+#: Row sets the generated files start from: (rows, levels, strength).
+CATALOG_BASES = [
+    (("000", "011", "101", "110"), 2, 2),
+    (tuple(write_oa_file(bush_oa(3, 2)).split()[5:]), 3, 2),
+    (tuple(write_oa_file(rao_oa(2, 3)).split()[5:]), 2, 2),
+    (tuple("0123456789ab"), 12, 1),
+    (("01", "10", "11"), 2, None),
+]
+#: What may end a line instead of "\n" (a space joins two lines).
+SEPARATORS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", " "]
+#: What may replace a symbol or follow a row: comments, spaces, uppercase,
+#: non-ASCII letters, digits and spaces, symbols out of range, good ones.
+ODD_TEXT = ["#", " # note", "  ", "\t", "A", "Z", "\xe9", "\u0663",
+            "\xa0", "$", "2", "z", "0"]
+
+
+@st.composite
+def catalog_texts(draw):
+    """Catalog text near a valid file: comments before and after the
+    header, blank and whitespace lines, trailing comments, other line
+    breaks, uppercase and non-ASCII symbols, ragged rows, wrong counts,
+    a missing header or rows, with or without a final newline.  About half
+    the draws change nothing, so the bulk read is taken too."""
+    rows, d, k = draw(st.sampled_from(CATALOG_BASES))
+    fields = [len(rows), len(rows[0]), d] + ([] if k is None else [k])
+    lines = [f"# {draw(st.text('abc #', max_size=6))}"
+             for _ in range(draw(st.integers(0, 2)))]
+    lines += ["", "   "][:draw(st.integers(0, 2))]
+    if draw(st.integers(0, 9)):
+        if not draw(st.integers(0, 5)):
+            i = draw(st.integers(0, len(fields) - 1))
+            fields[i] += draw(st.sampled_from([-1, 1]))
+        header = "oa " + " ".join(map(str, fields))
+        if not draw(st.integers(0, 7)):
+            header = draw(st.sampled_from(
+                ["oa 4 3", "oa 4 3 2 2 1 0", "ob 4 3 2", "oa x 3 2", "oa"]))
+        lines.append(header + draw(st.sampled_from(["", "", "  # h", " "])))
+    body = list(rows) if draw(st.integers(0, 15)) else []
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(body)))
+            change = draw(st.sampled_from(
+                ["insert", "drop", "ragged", "symbol", "append"]))
+            if change == "insert":
+                body.insert(i, draw(st.sampled_from(["", " ", "# c", "\t"])))
+            elif body and change == "drop":
+                del body[min(i, len(body) - 1)]
+            elif body:
+                j = min(i, len(body) - 1)
+                row = body[j]
+                if change == "ragged":
+                    body[j] = row[:-1] if len(row) > 1 else row + row
+                elif change == "symbol":
+                    c = draw(st.integers(0, max(len(row) - 1, 0)))
+                    body[j] = row[:c] + draw(st.sampled_from(ODD_TEXT)) \
+                        + row[c + 1:]
+                else:
+                    body[j] = row + draw(st.sampled_from(ODD_TEXT))
+    lines += body
+    breaks = [draw(st.sampled_from(SEPARATORS)) if not draw(st.integers(0, 4))
+              else "\n" for _ in lines] if draw(st.booleans()) else \
+        ["\n"] * len(lines)
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text if draw(st.integers(0, 5)) else text.rstrip("\n")
+
+
+@settings(max_examples=600, deadline=None)
+@given(catalog_texts())
+def test_catalog_reading_matches_the_line_by_line_reader(text):
+    assert outcome(parse_catalog, text) == \
+        outcome(line_by_line_catalog, text)
+    assert outcome(parse_oa_file, text) == outcome(row_by_row_oa_file, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("oa 0123z#\n\r\t\v é"), max_size=40))
+def test_any_text_reads_as_the_line_by_line_reader_reads_it(text):
+    assert outcome(parse_catalog, text) == \
+        outcome(line_by_line_catalog, text)
+    assert outcome(parse_oa_file, text) == outcome(row_by_row_oa_file, text)
+
+
+def lines_read_one_by_one(monkeypatch, text):
+    """The text `parse_oa_file` hands to the line-by-line reader."""
+    seen = []
+    read = serialize._parse_lines
+
+    def spy(part, rows):
+        seen.append(part)
+        return read(part, rows)
+    monkeypatch.setattr(serialize, "_parse_lines", spy)
+    parse_oa_file(text)
+    monkeypatch.undo()
+    (part,) = seen
+    return part
+
+
+def test_a_plain_body_is_read_in_one_pass(monkeypatch, fixtures_dir):
+    text = write_oa_file(bush_oa(9, 3))
+    assert lines_read_one_by_one(monkeypatch, text) == "oa 729 10 9 3\n"
+    for path in sorted(fixtures_dir.glob("*.oa")):
+        text = path.read_text()
+        header = text[:re.search(r"^oa .*\n", text, re.M).end()]
+        assert lines_read_one_by_one(monkeypatch, text) == header
+        # one comment in the body sends the whole text line by line
+        assert lines_read_one_by_one(monkeypatch, text + "# note\n") == \
+            text + "# note\n"
+        commented = text.replace("\n", "  # note\n", 3)
+        assert lines_read_one_by_one(monkeypatch, commented) == commented
+
+
+def test_a_wide_file_reads_no_slower_than_row_by_row():
+    text = write_oa_file(rao_oa(2, 10))
+    assert parse_oa_file(text) == row_by_row_oa_file(text)
+    bulk, rows = [], []
+    for _ in range(3):
+        for read, times in ((parse_oa_file, bulk),
+                            (row_by_row_oa_file, rows)):
+            start = time.perf_counter()
+            read(text)
+            times.append(time.perf_counter() - start)
+    assert min(bulk) <= min(rows)
