@@ -63,8 +63,8 @@ def parse_catalog(text: str) -> CatalogDocument:
     start = _body_start(text)
     if start is not None:
         body = text[start:]
-        if body.isascii() and \
-                255 not in body.encode("ascii").translate(_SYMBOL_VALUE, b"\n"):
+        if body.isascii() and 255 not in body.encode("ascii").translate(
+                _SYMBOL_VALUE, b"\n"):
             return _parse_lines(text[:start], body.split())
     return _parse_lines(text, [])
 
