@@ -14,7 +14,6 @@ import sys
 from typing import Optional, Sequence
 
 import click
-import numpy as np
 
 from . import __version__
 from .constructions import (
@@ -36,11 +35,10 @@ from .errors import (
 from .graphs import graph_from_state, to_dot, to_json
 from .oa import (
     OrthogonalArray,
-    _census,
     _certified,
-    _close_pairs,
-    _has_strength,
     _max_strength,
+    _separation,
+    _strength,
     derive as derive_array,
     gv_holds,
     max_strength,
@@ -131,31 +129,18 @@ def oa() -> None:
 def oa_verify(file: str, strength: Optional[int]) -> None:
     """Report strength, index, tightness, and irredundancy as JSON."""
     array = parse_oa_file(_read(file))
-    census = None
+    grid, d, census = array.grid, array.levels, None
     if strength is not None:
-        if not 0 <= strength <= array.factors or \
-                not _has_strength(array, strength):
+        if not 0 <= strength <= array.factors or not _strength(
+                grid, d, strength, proven=array.strength or 0)[0]:
             _echo(f"error: rows do not have strength {strength}", err=True)
             sys.exit(2)
         s = strength
     else:
         s, census = _max_strength(array)
     # irredundancy at k means no two rows within distance k, so it holds at
-    # 1..t for t = s, or one below the smallest distance between two rows.
-    # At index unity (r = d**s) no two rows agree on s columns, so the rows
-    # are an MDS code: the distance is N - s + 1, the Singleton bound.
-    # Otherwise from a pair census (the strength walk's, or one where it
-    # pays), else from the close pairs
-    grid = array.grid
-    if array.runs == array.levels ** s:
-        separation = array.factors - s + 1
-    elif census is not None or \
-            (census := _census(grid, s, -1, array.levels)) is not None:
-        separation = census.separation
-    else:
-        distance = np.bitwise_count(_close_pairs(grid, s)[2]).sum(1)
-        separation = int(distance.min()) if len(distance) else s + 1
-    t = min(s, max(0, separation - 1))
+    # 1..t for t = s, or one below the smallest distance between two rows
+    t = min(s, max(0, _separation(grid, d, s, census) - 1))
     result = {
         "strength": s,
         "index": array.runs // array.levels ** s,

@@ -10,8 +10,9 @@ reductions for states whose terms all carry one common phase:
 Checking both rules over every partition certifies k-uniformity for that
 phase class; states with mixed phases must use the spectral certifier.
 Over all partitions the rules are array properties of the terms' words
-(B' is strength k, A' irredundancy at k), and the graphs all coincide iff
-column permutations keep the words: no partition is visited.
+(B' is strength k, A' irredundancy at k, decided by `oa._strength` and
+`oa._separation`), and the graphs all coincide iff column permutations
+keep the words: no partition is visited.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import BadSubset, ParameterViolation, ParseError, PhasesPresent
-from .oa import (OrthogonalArray, _census, _group_rows, is_irredundant,
-                 verify_strength)
+from .oa import _group_rows, _separation, _strength
 from .states import (DIGITS36, PureState, _from_grid, _require_listable,
                      _require_proper_k, _text_words, _validated_subset)
 
@@ -108,15 +108,13 @@ def is_k_uniform_by_graphs(state: PureState, k: int) -> bool:
     """Both degree rules on every C(N, k) partition.  Only valid for states
     whose terms share one phase (raises PhasesPresent otherwise).  The
     rules are checked as strength k and irredundancy at k of the words:
-    where the pair census pays, from one census (strength k by Delsarte's
-    test, and no two words within distance k); otherwise by the scan."""
+    `oa._strength` and then `oa._separation` above k, fed the census the
+    strength question took, if any."""
     _require_proper_k(k, state.qudits)
     _require_common_phase(state)
-    census = _census(state.grid, k, k, state.levels)
-    if census is not None:
-        return census.strength(state.levels, k) >= k and census.separation > k
-    array = OrthogonalArray(state.grid, state.levels)
-    return verify_strength(array, k) and is_irredundant(array, k).ok
+    grid, d = state.grid, state.levels
+    strong, census = _strength(grid, d, k, reach=k)
+    return strong and _separation(grid, d, k, census) > k
 
 
 def graphs_identical(state: PureState, k: int) -> bool:

@@ -28,7 +28,8 @@ columns and few rows.  A caller that also needs the close pairs takes it
 as well where all r**2 words fit half a `_BLOCK_CELLS` chunk and d**k
 divides r: there numpy call overhead, not elementwise work, decides; the
 census replaces `_close_pairs`, and the scan too where it decides.
-Elsewhere the scan runs.  No array has d**k entries.
+Elsewhere the scan runs.  No array has d**k entries.  Every module asks
+`_strength` (strength k) and `_separation` (row distance), which choose.
 """
 
 from __future__ import annotations
@@ -171,35 +172,62 @@ def _certified(grid: np.ndarray, levels: int,
 # ---------------------------------------------------------------------------
 
 def verify_strength(array: OrthogonalArray, k: int) -> bool:
-    """True iff every k-column projection contains each k-tuple r/d**k times.
+    """True iff every k-column projection holds each k-tuple r/d**k times
+    (`_strength`)."""
+    return _strength(array.grid, array.levels, k)[0]
 
-    Where the pair census costs less than the scan (`_census`), by
-    Delsarte's test on the rows' distance distribution.  Otherwise a block
-    of column subsets at a time, each subset's kept-word codes
-    (`_kept_codes`) are sorted; strength k holds iff every sorted row is
-    r/d**k copies of 0..d**k - 1.  The check stops at the first block with
-    a failing subset.  d**k <= r whenever codes are formed, so they cannot
-    overflow for any level count.
+
+def _strength(grid: np.ndarray, d: int, k: int, reach: int = -1,
+              proven: int = 0) -> Tuple[bool, Optional[_Census]]:
+    """(holds, census): whether the rows over d levels have strength k,
+    and the pair census taken on the way, if any; the one place that
+    decides a strength.  A caller that needs the close pairs at distance
+    <= reach (reach >= 0) takes the census first, where it pays.  Then
+    k <= `proven` answers True and r not a multiple of d**k False.  A
+    caller of reach < 0 then takes the census where it pays; with one,
+    Delsarte's test answers.  Otherwise the scan: per block of subsets,
+    the sorted kept-word codes (`_kept_codes`; d**k <= r, so they cannot
+    overflow) must be r/d**k copies of 0..d**k - 1.  It stops at the
+    first failing block.
     """
-    n = array.factors
+    r, n = grid.shape
     if not 0 <= k <= n:
         raise ParameterViolation(f"strength {k} outside 0..{n}")
-    if k == 0:
-        return True
-    r, d = array.runs, array.levels
-    if r % d ** k != 0:
-        return False
-    grid = array.grid
-    census = _census(grid, k, -1, d)
+    census = _census(grid, k, reach, d) if reach >= 0 else None
+    if k <= proven:
+        return True, census
+    if r % d ** k:
+        return False, census
+    if reach < 0:
+        census = _census(grid, k, reach, d)
     if census is not None:
-        return census.strength(d, k) >= k
+        return census.strength(d, k) >= k, census
     every = np.repeat(np.arange(d ** k), r // d ** k)
     for subsets in _subset_blocks(n, k, r):
         codes = _kept_codes(grid, d, subsets)
         codes.sort(axis=1)
         if (codes != every).any():
-            return False
-    return True
+            return False, None
+    return True, None
+
+
+def _separation(grid: np.ndarray, d: int, k: int,
+                census: Optional[_Census] = None) -> int:
+    """The smallest distance between two rows of proven strength k over d
+    levels, capped at k + 1 (irredundancy at k' <= k is distance > k').
+    At index unity (r = d**k) no two rows agree on k columns: the rows
+    are an MDS code, at distance N - k + 1 (the Singleton bound;
+    Hedayat-Sloane-Stufken ch. 4).  Otherwise from `census`, or a census
+    where one pays, else from the close pairs at distance <= k."""
+    r, n = grid.shape
+    if r == d ** k:
+        return min(n - k + 1, k + 1)
+    if census is None:
+        census = _census(grid, k, -1, d)
+    if census is not None:
+        return min(census.separation, k + 1)
+    distance = np.bitwise_count(_close_pairs(grid, k)[2]).sum(axis=1)
+    return int(distance.min()) if len(distance) else k + 1
 
 
 def max_strength(array: OrthogonalArray) -> int:
@@ -214,13 +242,12 @@ def max_strength(array: OrthogonalArray) -> int:
 def _max_strength(array: OrthogonalArray) -> Tuple[int, Optional[_Census]]:
     """`max_strength`, and the pair census (reach -1) its walk took, if
     any, for callers that read more off it."""
-    grid, d = array.grid, array.levels
-    k = array.strength or 0
-    while k < array.factors and array.runs % d ** (k + 1) == 0:
-        census = _census(grid, k + 1, -1, d)
+    k, n = array.strength or 0, array.factors
+    while k < n:
+        holds, census = _strength(array.grid, array.levels, k + 1)
         if census is not None:
-            return census.strength(d, array.factors), census
-        if not verify_strength(array, k + 1):
+            return census.strength(array.levels, n), census
+        if not holds:
             break
         k += 1
     return k, None
@@ -228,17 +255,10 @@ def _max_strength(array: OrthogonalArray) -> Tuple[int, Optional[_Census]]:
 
 def oa_index(array: OrthogonalArray, k: int) -> int:
     """lambda = r / d**k; requires the array to actually have strength k."""
-    if not _has_strength(array, k):
+    proven = array.strength or 0
+    if not _strength(array.grid, array.levels, k, proven=proven)[0]:
         raise NotAnOAAtStrength(f"array does not have strength {k}")
     return array.runs // array.levels ** k
-
-
-def _has_strength(array: OrthogonalArray, k: int) -> bool:
-    """verify_strength(array, k), answered without a scan when the declared
-    (proven) strength is at least k."""
-    if array.strength is not None and 0 <= k <= array.strength:
-        return True
-    return verify_strength(array, k)
 
 
 def _effective_strength(array: OrthogonalArray) -> int:

@@ -14,8 +14,8 @@ Cells fed by an odd number of pairs admit no +/-1 solution at all; cells
 fed by four or more pairs fall outside the linear derivation and are
 handled by bounded exhaustive search.  The cells and their pairs come from
 the block kernels of `oa` (`oa._subset_cells`): the row pairs that differ
-on at most k columns, all kept, grouped per (subset, cell).  Where the
-pair census pays, one census proves the strength and lists those pairs.
+on at most k columns, all kept, grouped per (subset, cell); the strength
+check, and those pairs where a census lists them, come from `oa._strength`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .errors import (
     Unsupported,
     UnsupportedMultiplicity,
 )
-from .oa import (OrthogonalArray, _census, _group_rows, _has_strength,
-                 _subset_cells)
+from .oa import OrthogonalArray, _group_rows, _strength, _subset_cells
 from .states import PureState, _is_k_uniform, digits_to_word, state_from_oa
 
 EXHAUSTIVE_ROW_LIMIT = 21
@@ -124,14 +123,10 @@ def _cells(array: OrthogonalArray, k: int, close=None):
 def _checked_cells(array: OrthogonalArray, k: int) -> Iterator[tuple]:
     """`constraint_system`'s checks of the array and k, made at once; then
     the cells of `_cells`, lazily, so that a raising cell ends the walk.
-    Where the pair census pays, it proves the strength and lists the close
-    pairs, in one pass."""
+    The census `oa._strength` takes, if any, lists the close pairs."""
     n, grid = array.factors, array.grid
-    census = _census(grid, k, k, array.levels)
-    if census is None:
-        strong, close = _has_strength(array, k), None
-    else:
-        strong, close = census.strength(array.levels, k) >= k, census.pairs
+    strong, census = _strength(grid, array.levels, k, reach=k,
+                               proven=array.strength or 0)
     if not strong:
         raise NotAnOAAtStrength(f"array does not have strength {k}")
     if k > n / 2:
@@ -139,7 +134,7 @@ def _checked_cells(array: OrthogonalArray, k: int) -> Iterator[tuple]:
             f"sign fixing requires k <= N/2, got k={k}, N={n}")
     if len(_group_rows(grid, range(n))[1]) <= array.runs:
         raise DuplicateRows("array has repeated rows")
-    return _cells(array, k, close)
+    return _cells(array, k, None if census is None else census.pairs)
 
 
 def _system(array: OrthogonalArray,

@@ -19,15 +19,12 @@ most DENSE_BYTES_LIMIT bytes) is the public one-subset reduction.
 `max_uniformity` stops after the first block of subsets that holds a
 failing one.
 
-Where the pair census pays (`oa._census_pays`: r * words < C(N, k), or
-all r**2 pair words in half a chunk when d**k divides r), it replaces the
-scan's proof.  Strength k (Delsarte's test on the distance
-distribution) with no two terms within distance k makes every reduction
-exactly I/d**k, whatever the phases: `uniformity` then builds its records
-with no scan, and `_is_k_uniform` answers True.  A fast False comes only
-where the scan must agree (see `_certifies` and `_unbalanced`).
-Otherwise the scan runs on the census's close pairs, skipping the
-diagonal counts once strength k is proven.
+Where the pair census pays (`oa._census_pays`), `_early`, its one
+reader, answers without the scan where it can: strength k (Delsarte's
+test) with no two terms within distance k makes every reduction exactly
+I/d**k, whatever the phases, and a fast False comes only where the scan
+must agree.  Otherwise the scan runs on the census's close pairs,
+skipping the diagonal counts once strength k is proven.
 """
 
 from __future__ import annotations
@@ -247,7 +244,7 @@ def _require_proper_k(k: int, n: int) -> None:
 
 
 def _require_tol(tol: float) -> None:
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ParameterViolation("tol must be positive")
 
 
@@ -298,12 +295,9 @@ def _deviations(state: PureState, k: int, tol: float,
     the diagonal deviates by exactly 0 and is not counted.  The
     off-diagonal cells are fed only by term pairs that differ on at most k
     columns, all kept (`oa._subset_cells`, given the census's `pairs` when
-    it has them).  Bad k or tol raise ParameterViolation when iteration
-    starts.
+    it has them).  k and tol are checked by the callers.
     """
-    n, d, r = state.qudits, state.levels, state.term_count
-    _require_proper_k(k, n)
-    _require_tol(tol)
+    d, r = state.levels, state.term_count
     grid, phases = state.grid, state.phase_vector
     target = 1.0 / d ** k
     words = min(d ** k, r + 1)  # r + 1 stands in for a d**k beyond int64
@@ -424,9 +418,8 @@ def uniformity(state: PureState, k: int,
     mixed.  TooLarge, before any work, when the records alone would pass
     DENSE_BYTES_LIMIT.
 
-    Where the pair census pays (`oa._census`) and proves strength k
-    with no two terms within distance k, every reduction is exactly I/d**k
-    and every record is (labels, True, 0.0, None), built with no scan.
+    Where the pair census (`oa._census`, read by `_early`) certifies,
+    every record is (labels, True, 0.0, None), built with no scan.
     Otherwise each subset is certified sparsely (`_deviations`, fed the
     census's pairs when it has them).  The failing subsets of dimension
     <= 64 get their exact eigenvalues: a block's failing reductions are
@@ -440,16 +433,16 @@ def uniformity(state: PureState, k: int,
     _require_listable(comb(n, k), sys.getsizeof(SubsetReport((), True, 0.0))
                       + sys.getsizeof((0,) * k) + sys.getsizeof(0.0) + 8,
                       f"a report of {comb(n, k)} subsets")
-    census = _census(state.grid, k, k, d)
-    strong = census is not None and census.strength(d, k) >= k
+    # a False answer still needs the scan's records, fed the census's pairs
+    answer, pairs, strong = _early(state, k, tol,
+                                   _census(state.grid, k, k, d))
     # tuple.__new__ makes each record with no Python frame per subset
     record = partial(tuple.__new__, SubsetReport)
-    if strong and census.separation > k:
+    if answer:
         labels = combinations(range(1, n + 1), k)
         reports = map(record, zip(labels, repeat(True), repeat(0.0),
                                   repeat(None)))
         return UniformityReport(n, d, k, tol, True, tuple(reports))
-    pairs = None if census is None else census.close_pairs(k)
     spectra = d ** k <= EIGENVALUE_DIM_LIMIT
     blocks, eigenvalues = [], []
     for subsets, deviations, *cells in _deviations(state, k, tol, pairs,
@@ -471,56 +464,63 @@ def uniformity(state: PureState, k: int,
 
 
 def _is_k_uniform(state: PureState, k: int, tol: float = DEFAULT_TOL) -> bool:
-    """uniformity(state, k, tol).certified, decided by the pair census
-    where it pays and decides (`_certifies`), else by the scan, which
-    stops after the first block of subsets that holds a failing one."""
+    """uniformity(state, k, tol).certified, decided without a scan where
+    `_early` can, else by the scan, which stops after the first block of
+    subsets that holds a failing one."""
     _require_proper_k(k, state.qudits)
     _require_tol(tol)
-    if _unbalanced(state, k, tol):
-        return False
-    return _certifies(state, k, tol, _census(state.grid, k, k, state.levels))
+    return _certifies(state, k, tol)[0]
 
 
-def _unbalanced(state: PureState, k: int, tol: float) -> bool:
-    """True when r is no multiple of d**k, so that some kept word's count
-    is off r/d**k and its diagonal entry deviates by at least 1/(r d**k)
-    (by 1/d**k when r < d**k leaves a word out), and tol is below half of
-    that: the scan must then fail too.  No census or scan is needed."""
-    r, dim = state.term_count, state.levels ** k
+def _early(state: PureState, k: int, tol: float, census: Optional[_Census]
+           ) -> Tuple[Optional[bool], Optional[Tuple[np.ndarray, ...]], bool]:
+    """(answer, pairs, strong) at a checked k and tol from the pair census
+    taken at k or below (None if none was), its one reader: the verdict
+    where no scan is needed (else None), the census's close pairs at
+    distance <= k (None: `_close_pairs` finds them), and whether strength
+    k is proven.  True when strength k holds and no two terms lie within
+    distance k: every reduction is then exactly I/d**k.  False only where
+    the scan must agree, each bound with a factor-2 margin for rounding:
+    * without strength k (r no multiple of d**k, or the census says so) a
+      diagonal entry deviates by at least 1/(r d**k), by 1/d**k when
+      r < d**k leaves a kept word out, so when tol is below half of that;
+    * with one common phase, a pair within distance k puts at least 1/r
+      into a cell of a subset holding its support, so when tol < 1/(2r).
+    """
+    r, d = state.term_count, state.levels
+    dim = d ** k
+    # strength k needs d**k to divide r, which costs less to test
+    strong = (census is not None and not r % dim
+              and census.strength(d, k) >= k)
+    close = census is not None and census.separation <= k
+    if strong and not close:
+        return True, None, True
+    pairs = None if census is None else census.close_pairs(k)
     gap = 1 / dim if r < dim else 1 / (r * dim)
-    return bool(r % dim) and tol < gap / 2
+    if (r % dim or census is not None and not strong) and tol < gap / 2:
+        return False, pairs, strong
+    phases = state.phase_vector
+    if close and tol < 1 / (2 * r) and (phases == phases[0]).all():
+        return False, pairs, strong
+    return None, pairs, strong
 
 
 def _certifies(state: PureState, k: int, tol: float,
-               census: Optional[_Census]) -> bool:
-    """`_is_k_uniform` for a checked k and tol, given the pair census taken
-    at k or below (None: the scan decides).
-
-    True when the census proves strength k and no two terms lie within
-    distance k: every reduction is then exactly I/d**k.  False only where
-    the scan must agree, each bound checked with a factor-2 margin against
-    floating-point rounding:
-    * without strength k a diagonal entry deviates by at least
-      1/(r d**k), so when tol < 1/(2 r d**k);
-    * with one common phase, a pair within distance k puts at least 1/r
-      into a cell of a subset holding its support, so when tol < 1/(2r).
-    Otherwise the scan, fed the census's pairs and skipping the diagonal
-    when strength k is proven."""
-    pairs, strong = None, False
-    if census is not None:
-        r, d = state.term_count, state.levels
-        strong = census.strength(d, k) >= k
-        close = census.separation <= k
-        if strong and not close:
-            return True
-        if not strong and tol < 1 / (2 * r * d ** k):
-            return False
-        phases = state.phase_vector
-        if close and tol < 1 / (2 * r) and (phases == phases[0]).all():
-            return False
-        pairs = census.close_pairs(k)
-    return all(bool((deviations <= tol).all()) for _, deviations, *_
-               in _deviations(state, k, tol, pairs, strong))
+               census: Optional[_Census] = None
+               ) -> Tuple[bool, Optional[_Census]]:
+    """(`_is_k_uniform` at a checked k and tol, the pair census).  `census`
+    is one taken at a smaller k, if any; without one, a census is taken
+    where it pays (`oa._census`), unless r alone decides.  Where `_early`
+    gives no answer, the scan decides, fed the census's pairs and skipping
+    the diagonal when strength k is proven."""
+    answer, pairs, strong = _early(state, k, tol, census)
+    if answer is None and census is None:
+        census = _census(state.grid, k, k, state.levels)
+        answer, pairs, strong = _early(state, k, tol, census)
+    if answer is None:
+        answer = all(bool((deviations <= tol).all()) for _, deviations, *_
+                     in _deviations(state, k, tol, pairs, strong))
+    return answer, census
 
 
 def max_uniformity(state: PureState, tol: float = DEFAULT_TOL) -> int:
@@ -531,14 +531,11 @@ def max_uniformity(state: PureState, tol: float = DEFAULT_TOL) -> int:
     every k from there on: a small state (all r**2 pair words in half a
     chunk and d dividing r, `oa._census_pays`) takes it at k = 1, and
     where it decides every k no `_close_pairs` call and no scan runs."""
+    _require_tol(tol)
     best, census = 0, None
     for k in range(1, state.qudits // 2 + 1):
-        _require_tol(tol)
-        if _unbalanced(state, k, tol):
-            break
-        if census is None:
-            census = _census(state.grid, k, k, state.levels)
-        if not _certifies(state, k, tol, census):
+        certified, census = _certifies(state, k, tol, census)
+        if not certified:
             break
         best = k
     return best

@@ -35,15 +35,18 @@ from kuniform import (
     hadamard_to_oa,
     hadamard_two_uniform_state,
     is_irredundant,
+    is_maximally_mixed,
     is_k_uniform_by_graphs,
     max_strength,
     max_uniformity,
     parse_ket,
     parse_oa_file,
     rao_oa,
+    reduce,
     state_from_oa,
     uniformity,
     verify_strength,
+    write_ket,
     write_oa_file,
 )
 from kuniform.cli import main
@@ -269,6 +272,34 @@ def test_bad_k_and_tol_fail_before_either_path(monkeypatch):
                 call(state, k, tol)
     with pytest.raises(ParameterViolation):
         max_uniformity(state, 0.0)
+    # one qudit: max_uniformity has no k to try, but still checks tol
+    with pytest.raises(ParameterViolation):
+        max_uniformity(PureState(1, 2, [("0", 1)]), -1.0)
+
+
+@pytest.mark.parametrize("census", [False, True, None])
+def test_a_nan_tolerance_is_refused_on_every_path(census):
+    # NaN <= 0 is False, so a "tol <= 0" check lets NaN through, and the
+    # verdict would then depend on the path (every comparison with NaN is
+    # False: the census would certify this state at k = 2, the scan not)
+    state = hadamard_two_uniform_state(8)
+    nan = float("nan")
+    rho = reduce(state, [0, 1])
+    for call in (lambda: uniformity(state, 2, nan),
+                 lambda: _is_k_uniform(state, 2, nan),
+                 lambda: max_uniformity(state, nan),
+                 lambda: is_maximally_mixed(rho, nan)):
+        with pytest.raises(ParameterViolation, match="tol must be positive"):
+            on_path(census, call)
+
+
+def test_state_check_refuses_a_nan_tolerance(tmp_path):
+    path = tmp_path / "had8.ket"
+    path.write_text(write_ket(hadamard_two_uniform_state(8)))
+    result = CliRunner().invoke(main, ["state", "check", str(path), "--k",
+                                       "2", "--tol", "nan"])
+    assert result.exit_code == 1
+    assert result.output == "error: tol must be positive\n"
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +510,8 @@ def test_a_state_with_no_possible_strength_keeps_the_scan(monkeypatch):
 def test_graph_rules_on_both_paths(fixtures_dir):
     states = [parse_ket(path.read_text())
               for path in sorted(fixtures_dir.glob("*.ket"))]
+    states += [state_from_oa(parse_oa_file(path.read_text()))
+               for path in sorted(fixtures_dir.glob("*.oa"))]
     states += [hadamard_two_uniform_state(n) for n in (6, 9, 16, 23)]
     states += [state_from_oa(a) for a in (bush_oa(3, 2), bush_oa(4, 3),
                                           rao_oa(2, 4), rao_oa(3, 3))]
@@ -488,6 +521,7 @@ def test_graph_rules_on_both_paths(fixtures_dir):
         for k in proper_ks(state, 3):
             verdict = on_every_path(lambda: is_k_uniform_by_graphs(state, k))
             assert verdict is uniformity(state, k).certified
+            assert on_every_path(lambda: _is_k_uniform(state, k)) is verdict
 
 
 def test_graph_rules_take_one_census_where_the_close_pairs_would(monkeypatch):

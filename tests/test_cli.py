@@ -75,19 +75,22 @@ def test_oa_verify_explicit_strength(runner, fixtures_dir):
 def test_oa_verify_strength_within_the_header_is_not_scanned_again(
         runner, tmp_path, monkeypatch):
     # parse_oa_file proves the header's strength, so --strength k at or
-    # below it needs no second verify_strength scan; above it still scans
+    # below it is answered by that proof with no second look at the rows;
+    # above it the rows are checked.  `calls` lists the strength questions
+    # that `oa._strength` is asked and the proof it is given cannot answer
     array = rao_oa(3, 3)
     path = tmp_path / "rao.oa"
     path.write_text(write_oa_file(array))
     calls = []
-    real = oa_module.verify_strength
+    real = oa_module._strength
 
-    def spy(arr, k):
-        calls.append(k)
-        return real(arr, k)
+    def spy(grid, d, k, reach=-1, proven=0):
+        if not 0 <= k <= proven:
+            calls.append(k)
+        return real(grid, d, k, reach, proven)
 
     for module in (oa_module, cli_module):
-        monkeypatch.setattr(module, "verify_strength", spy, raising=False)
+        monkeypatch.setattr(module, "_strength", spy)
     for k in (0, 1, 2):
         calls.clear()
         result = invoke(runner, "oa", "verify", str(path), "--strength", str(k))
@@ -147,7 +150,7 @@ def test_oa_verify_reads_irredundancy_from_one_close_pair_pass(
     # Singleton bound gives its distance with no pass over the pairs; the
     # stacked array takes one close-pair pass at its strength
     calls = []
-    real_pairs, real_census = cli_module._close_pairs, oa_module._pair_census
+    real_pairs, real_census = oa_module._close_pairs, oa_module._pair_census
 
     def spy(grid, k):
         calls.append(k)
@@ -157,8 +160,7 @@ def test_oa_verify_reads_irredundancy_from_one_close_pair_pass(
         calls.append("census")
         return real_census(grid, reach)
 
-    for module in (oa_module, cli_module):
-        monkeypatch.setattr(module, "_close_pairs", spy)
+    monkeypatch.setattr(oa_module, "_close_pairs", spy)
     monkeypatch.setattr(oa_module, "_pair_census", census_spy)
     bush = bush_oa(3, 2)
     stacked = tmp_path / "stacked.oa"

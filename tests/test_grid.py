@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kuniform.oa
+import kuniform.phases
 from kuniform import (
     DuplicateRows,
     HadamardMatrix,
@@ -177,16 +178,20 @@ def test_catalog_strength_is_verified_once(monkeypatch):
         parse_oa_file(text.replace("oa 9 4 3 2", "oa 9 4 3 3"))
 
 
-def spy_on_verify_strength(monkeypatch):
-    """The k of every verify_strength call from now on, in order."""
+def spy_on_strength(monkeypatch):
+    """The k of every `oa._strength` call from now on that the proven
+    strength it is given does not answer, in order, wherever it is
+    looked up."""
     calls = []
-    real = kuniform.oa.verify_strength
+    real = kuniform.oa._strength
 
-    def spy(array, k):
-        calls.append(k)
-        return real(array, k)
+    def spy(grid, d, k, reach=-1, proven=0):
+        if not 0 <= k <= proven:
+            calls.append(k)
+        return real(grid, d, k, reach, proven)
 
-    monkeypatch.setattr(kuniform.oa, "verify_strength", spy)
+    for module in (kuniform.oa, kuniform.phases):
+        monkeypatch.setattr(module, "_strength", spy)
     return calls
 
 
@@ -196,14 +201,22 @@ def test_a_declared_strength_answers_strength_queries(monkeypatch,
     signfix = parse_oa_file(
         (fixtures_dir / "oa_8_5_2_2_signfix.oa").read_text(encoding="utf-8"))
     undeclared = OrthogonalArray(signfix.grid, 2)
-    calls = spy_on_verify_strength(monkeypatch)
+    calls = spy_on_strength(monkeypatch)
     assert (oa_index(a, 2), oa_index(a, 1), oa_index(a, 0)) == (1, 3, 9)
     system = constraint_system(signfix, 2)
     assert calls == []
+    kernels = {"_pair_census": 0, "_kept_codes": 0}
+    for name in kernels:
+        def count(*args, _name=name, _real=getattr(kuniform.oa, name)):
+            kernels[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(kuniform.oa, name, count)
     assert max_strength(a) == 2 and max_strength(signfix) == 2
-    # no scan past either declared strength: 9 rows cannot have strength
-    # 3 over 3 levels, and one pair census answers for signfix
-    assert calls == []
+    # no scan past either declared strength: each walk asks strength 3,
+    # which 9 rows over 3 levels cannot have, and one pair census answers
+    # for signfix
+    assert calls == [3, 3]
+    assert kernels == {"_pair_census": 1, "_kept_codes": 0}
     calls.clear()
     # above the declared strength, and on undeclared arrays, the rows are
     # checked as before, with the same answers and errors; constraint_system
@@ -216,12 +229,12 @@ def test_a_declared_strength_answers_strength_queries(monkeypatch,
     assert oa_index(undeclared, 2) == 2
     with pytest.raises(NotAnOAAtStrength):
         constraint_system(undeclared, 3)
-    assert calls == [3, -1, 2]
+    assert calls == [3, -1, 2, 2, 3]
 
 
 def test_unpickling_verifies_the_strength_again(monkeypatch):
     a = bush_oa(3, 2)
-    calls = spy_on_verify_strength(monkeypatch)
+    calls = spy_on_strength(monkeypatch)
     assert pickle.loads(pickle.dumps(a)) == a
     assert calls == [2]
 

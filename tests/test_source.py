@@ -50,3 +50,43 @@ def test_only_the_cost_rule_runs_the_pair_census():
                       if f.lineno <= node.lineno <= f.end_lineno]
             users.add((path.name, inside[-1] if inside else None))
     assert users == {("oa.py", "_census")}
+
+
+def _tree(name):
+    source = pathlib.Path(kuniform.__file__).parent
+    return ast.parse((source / name).read_text(encoding="utf-8"))
+
+
+def _names(node):
+    """The names a node refers to: identifiers, attributes and imports."""
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name if isinstance(node, ast.alias) else None)
+
+
+def test_strength_and_separation_are_decided_in_oa():
+    # the census-or-scan choice lives behind `oa._strength` and
+    # `oa._separation`: the modules that ask the two questions do not reach
+    # past them to the census or the close pairs
+    kernels = {"_census", "_Census", "_close_pairs", "_has_strength",
+               "_pair_census"}
+    found = {(name, _names(node))
+             for name in ("graphs.py", "phases.py", "cli.py")
+             for node in ast.walk(_tree(name)) if _names(node) in kernels}
+    assert found == set()
+
+
+def test_only_the_deciders_take_the_census():
+    callers = set()
+    for path in sorted(pathlib.Path(kuniform.__file__).parent.glob("*.py")):
+        name, tree = path.name, _tree(path.name)
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _names(node.func) == "_census":
+                inside = [f.name for f in functions
+                          if f.lineno <= node.lineno <= f.end_lineno]
+                callers.add((name, inside[-1] if inside else None))
+    assert callers == {("oa.py", "_strength"), ("oa.py", "_separation"),
+                       ("states.py", "uniformity"),
+                       ("states.py", "_certifies")}
