@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json as jsonlib
 import sys
-from typing import Optional, Sequence
+from typing import Optional
 
 import click
 
@@ -28,13 +28,11 @@ from .errors import (
     NotAnOAAtStrength,
     OddContributions,
     ParameterMismatch,
-    ParseError,
     Unsupported,
     UnsupportedMultiplicity,
 )
 from .graphs import graph_from_state, to_dot, to_json
 from .oa import (
-    OrthogonalArray,
     _certified,
     _max_strength,
     _separation,

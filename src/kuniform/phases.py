@@ -12,10 +12,14 @@ constraint per two-pair cell gives a linear system over GF(2); solving it
 (when consistent) produces a state whose k-uniformity then certifies.
 Cells fed by an odd number of pairs admit no +/-1 solution at all; cells
 fed by four or more pairs fall outside the linear derivation and are
-handled by bounded exhaustive search.  The cells and their pairs come from
-the block kernels of `oa` (`oa._subset_cells`): the row pairs that differ
-on at most k columns, all kept, grouped per (subset, cell); the strength
-check, and those pairs where a census lists them, come from `oa._strength`.
+handled by bounded exhaustive search (at most 21 rows): it returns the
+smallest sign vector, walking the 2**(r-1) candidates in ascending chunks
+and stopping at the first chunk with a solution, so only an Infeasible
+answer sweeps them all, and it holds one chunk in memory.  The cells and
+their pairs come from the block kernels of `oa` (`oa._subset_cells`): the
+row pairs that differ on at most k columns, all kept, grouped per
+(subset, cell); the strength check, and those pairs where a census lists
+them, come from `oa._strength`.
 """
 
 from __future__ import annotations
@@ -35,7 +39,13 @@ from .errors import (
     Unsupported,
     UnsupportedMultiplicity,
 )
-from .oa import OrthogonalArray, _group_rows, _strength, _subset_cells
+from .oa import (
+    _BLOCK_CELLS,
+    OrthogonalArray,
+    _group_rows,
+    _strength,
+    _subset_cells,
+)
 from .states import PureState, _is_k_uniform, digits_to_word, state_from_oa
 
 EXHAUSTIVE_ROW_LIMIT = 21
@@ -81,6 +91,9 @@ class SignConstraintSystem:
         """True iff the bit assignment (sequence or int bitmask) satisfies
         every constraint."""
         if isinstance(bits, int):
+            if not 0 <= bits < 1 << self.variable_count:
+                raise ParameterViolation(
+                    f"bitmask {bits} outside 0..2**{self.variable_count} - 1")
             values = [(bits >> i) & 1 for i in range(self.variable_count)]
         else:
             values = [int(b) & 1 for b in bits]
@@ -182,12 +195,16 @@ def solve_signs(system: SignConstraintSystem) -> Union[SignSolution, _Infeasible
         raise ParameterViolation("need at least one variable")
     rows = [(1, 0)]  # gauge: alpha_0 = 0
     for c in system.constraints:
+        if c.parity not in (0, 1):
+            raise ParameterViolation(f"parity {c.parity} is not 0 or 1")
         mask = 0
         for v in c.variables:
             if not 0 <= v < r:
                 raise ParameterViolation(f"variable {v} outside 0..{r - 1}")
+            if (mask >> v) & 1:
+                raise ParameterViolation(f"variable {v} repeats in {c.variables}")
             mask |= 1 << v
-        rows.append((mask, c.parity & 1))
+        rows.append((mask, c.parity))
 
     pivots: dict = {}  # pivot bit -> (mask, parity)
     for mask, parity in rows:
@@ -216,24 +233,31 @@ def solve_signs(system: SignConstraintSystem) -> Union[SignSolution, _Infeasible
 
 def _exhaustive_search(array: OrthogonalArray, cells: Iterable[tuple]
                        ) -> Union[PureState, _InfeasibleType]:
-    """Search all 2**(r-1) sign vectors (alpha_0 = 0) for one cancelling
-    every cell of `_checked_cells`; vectorized over candidate bitmasks."""
+    """The smallest sign bitmask (alpha_0 = 0) cancelling every cell of
+    `_checked_cells`, as a state; Infeasible when none of the 2**(r-1)
+    does.  The even bitmasks are walked in ascending chunks (2**10, then
+    doubling up to `_BLOCK_CELLS`), each filtered cell by cell, so the
+    first chunk with a survivor ends the search and one chunk is held."""
     r = array.runs
-    candidates = np.arange(2 ** (r - 1), dtype=np.uint64) * 2  # bit 0 clear
-    for _, _, pairs in cells:
-        if candidates.size == 0:
-            break
-        masks = np.array([(1 << i) | (1 << j) for i, j in pairs], dtype=np.uint64)
-        total = np.zeros(candidates.shape, dtype=np.int64)
-        for m in masks:
-            odd = (np.bitwise_count(candidates & m) & 1).astype(np.int64)
-            total += 1 - 2 * odd
-        candidates = candidates[total == 0]
-    if candidates.size == 0:
-        return Infeasible
-    best = int(candidates.min())
-    phases = tuple(-1.0 if (best >> i) & 1 else 1.0 for i in range(r))
-    return state_from_oa(array, phases)
+    cells = [(np.array([(1 << i) | (1 << j) for i, j in pairs], dtype=np.uint64),
+              len(pairs)) for _, _, pairs in cells]
+    start, size, end = 0, 1 << 10, 1 << (r - 1)
+    while start < end:
+        stop = min(start + size, end)
+        candidates = np.arange(start, stop, dtype=np.uint64) * 2  # bit 0 clear
+        for masks, count in cells:
+            odd = np.zeros(candidates.shape, dtype=np.uint8)
+            for m in masks:  # pair (i, j) flips sign iff alpha_i != alpha_j
+                odd += np.bitwise_count(candidates & m) & 1
+            candidates = candidates[2 * odd == count]  # an odd cell keeps none
+            if candidates.size == 0:
+                break
+        else:
+            best = int(candidates[0])
+            phases = tuple(-1.0 if (best >> i) & 1 else 1.0 for i in range(r))
+            return state_from_oa(array, phases)
+        start, size = stop, min(2 * size, _BLOCK_CELLS)
+    return Infeasible
 
 
 def fix_state(array: OrthogonalArray, k: int) -> Union[PureState, _InfeasibleType]:
@@ -242,7 +266,10 @@ def fix_state(array: OrthogonalArray, k: int) -> Union[PureState, _InfeasibleTyp
 
     Odd-multiplicity cells mean no +/-1 assignment exists (Infeasible).
     Cells with four or more pairs fall back to exhaustive search for
-    r <= 21 rows and raise Unsupported beyond that.
+    r <= 21 rows and raise Unsupported beyond that.  The search returns the
+    smallest sign vector (as a bitmask, alpha_0 = 0): it walks the
+    candidates in ascending chunks, stops at the first solution, sweeps all
+    2**(r-1) only to answer Infeasible and holds one chunk in memory.
     """
     # one walk of the cells: the search reads what the system step read
     # (tee keeps it) and then the rest

@@ -1,8 +1,12 @@
 """GF(2) sign fixing: constraint extraction, solving, and state repair."""
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kuniform.phases
 from kuniform import (
@@ -23,6 +27,7 @@ from kuniform import (
     is_irredundant,
     parse_oa_file,
     solve_signs,
+    state_from_oa,
     uniformity,
     write_ket,
 )
@@ -138,12 +143,36 @@ def test_solve_signs_detects_contradiction():
     assert repr(result) == "Infeasible"
 
 
+def test_solve_signs_rejects_bad_parity_and_repeated_variables():
+    # caller errors, not internal faults (PostconditionFailed)
+    bad_parity = SignConstraintSystem(3, (
+        SignConstraint((0, 1), 3, (0,), ("0", "1")),))
+    with pytest.raises(ParameterViolation):
+        solve_signs(bad_parity)
+    repeated = SignConstraintSystem(3, (
+        SignConstraint((1, 1), 1, (0,), ("0", "1")),))
+    with pytest.raises(ParameterViolation):
+        solve_signs(repeated)
+
+
 def test_satisfied_by_accepts_bitmask_and_checks_length(fixtures_dir):
     system = constraint_system(load_oa(fixtures_dir, "oa_8_5_2_2_signfix"), 2)
     # assignment (0,1,0,1,0,0,0,0) encoded little-endian: bits 1 and 3
     assert system.satisfied_by(0b1010)
     with pytest.raises(ParameterViolation):
         system.satisfied_by([0, 1])
+
+
+def test_satisfied_by_rejects_out_of_range_bitmasks():
+    system = SignConstraintSystem(4, (
+        SignConstraint((0, 1), 1, (0,), ("0", "1")),))
+    assert system.satisfied_by(0b10)
+    assert system.satisfied_by([0, 1, 0, 0])
+    for bits in (0b10 | 1 << 40, -2, 1 << 4):
+        with pytest.raises(ParameterViolation):
+            system.satisfied_by(bits)
+    with pytest.raises(ParameterViolation):
+        system.satisfied_by([0, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,3 +245,126 @@ def test_fix_state_walks_the_cells_once(monkeypatch):
     state = fix_state(full_factorial(2, 4, strength=4), 1)
     assert state and uniformity(state, 1).certified
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# exhaustive search against a brute force
+# ---------------------------------------------------------------------------
+
+def distinct_rows(r):
+    """r distinct binary rows of five columns, no declared strength."""
+    return OrthogonalArray(
+        tuple(tuple(int(b) for b in format(i, "05b")) for i in range(r)), 2)
+
+
+def cancels(mask, pairs):
+    """The pairs' +/-1 terms sum to zero under the sign bitmask."""
+    return sum(-1 if ((mask >> i) ^ (mask >> j)) & 1 else 1
+               for i, j in pairs) == 0
+
+
+def smallest_signs(r, cells, stop=None):
+    """The smallest even bitmask below `stop` (default 2**r) cancelling
+    every cell, by trying each in turn; None when there is none."""
+    return next((mask for mask in range(0, stop or 1 << r, 2)
+                 if all(cancels(mask, pairs) for pairs in cells)), None)
+
+
+def search(array, cells):
+    return kuniform.phases._exhaustive_search(
+        array, [((), ("", ""), pairs) for pairs in cells])
+
+
+def ket(array, mask):
+    return write_ket(state_from_oa(
+        array, [-1.0 if (mask >> i) & 1 else 1.0 for i in range(array.runs)]))
+
+
+def disjoint_pairs(order, size):
+    """The first `size` pairs (i < j) of consecutive rows in `order`."""
+    return sorted(tuple(sorted(order[2 * t:2 * t + 2])) for t in range(size))
+
+
+def random_cell(rng, r, size):
+    return disjoint_pairs(rng.sample(range(r), 2 * size), size)
+
+
+@st.composite
+def sign_cells(draw):
+    """r <= 10 rows and 1-6 cells of 1-5 disjoint pairs, odd cells too."""
+    r = draw(st.integers(2, 10))
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(range(r)))
+        cells.append(disjoint_pairs(order, draw(st.integers(1, min(5, r // 2)))))
+    return r, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign_cells())
+def test_exhaustive_search_matches_brute_force(case):
+    r, cells = case
+    array = distinct_rows(r)
+    mask = smallest_signs(r, cells)
+    result = search(array, cells)
+    if mask is None:
+        assert result is Infeasible
+    else:
+        assert write_ket(result) == ket(array, mask)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exhaustive_search_walks_chunks_in_order(seed):
+    # 14 rows: chunks of 2**10, 2**11, 2**12 and 2**10 candidates; random
+    # cells of two and four pairs that one sign vector in the third chunk
+    # cancels, so the search passes two chunk boundaries
+    r, target = 14, (1 << 13) | (1 << 12) | (1 << 5)
+    rng = random.Random(seed)
+    cells = []
+    while len(cells) < 30:
+        cell = random_cell(rng, r, rng.choice((2, 4)))
+        if cancels(target, cell):
+            cells.append(cell)
+    mask = smallest_signs(r, cells)
+    assert mask // 2 >= (1 << 10) + (1 << 11)
+    array = distinct_rows(r)
+    assert write_ket(search(array, cells)) == ket(array, mask)
+
+
+def traced_search(array, cells):
+    tracemalloc.start()
+    try:
+        result = search(array, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_exhaustive_search_infeasible_at_21_rows_holds_one_chunk():
+    # wide cells, then three two-pair cells whose parity constraints sum to
+    # 0 = 1 (each of rows 0-5 appears twice): all 2**20 vectors are swept
+    rng = random.Random(0)
+    cells = [random_cell(rng, 21, 4) for _ in range(12)]
+    cells += [[(0, 1), (2, 3)], [(0, 4), (1, 5)], [(2, 4), (3, 5)]]
+    result, peak = traced_search(distinct_rows(21), cells)
+    assert result is Infeasible
+    assert peak < 4e6
+
+
+def test_exhaustive_search_feasible_at_21_rows_stops_early():
+    # four-pair cells that a sign vector below 2**10 cancels: the search
+    # ends in its first chunk
+    target = (1 << 9) | (1 << 4) | (1 << 1)
+    rng = random.Random(1)
+    cells = []
+    while len(cells) < 12:
+        cell = random_cell(rng, 21, 4)
+        if cancels(target, cell):
+            cells.append(cell)
+    mask = smallest_signs(21, cells, stop=1 << 10)
+    assert mask is not None
+    array = distinct_rows(21)
+    result, peak = traced_search(array, cells)
+    assert write_ket(result) == ket(array, mask)
+    assert peak < 1e6
