@@ -3,12 +3,16 @@
 Some arrays yield states whose reductions pick up off-diagonal entries.
 Each such entry is fed by row pairs; when every off-diagonal cell is fed
 by exactly two pairs, cancelling them is a linear parity condition on
-one sign bit per row.  Run:
+one sign bit per row.  A cell fed by an odd number of pairs can never
+cancel, so it makes the repair infeasible, even beside a cell fed by more
+pairs than the linear treatment covers.  Run:
 
     python3 demos/03_fix_signs.py
 """
 
 from kuniform import (
+    OrthogonalArray,
+    UnsupportedMultiplicity,
     constraint_system,
     fix_state,
     hadamard,
@@ -56,6 +60,19 @@ def main():
     print("repaired state:")
     print(" ", write_ket(fixed), end="")
     print("  certified 2-uniform:", uniformity(fixed, 2).certified)
+    print()
+
+    # Six columns of the order-24 array: at k = 2 one cell is fed by a
+    # single row pair and another by six.  constraint_system names the
+    # first offending cell, the wide one; fix_state reads every cell's
+    # count, and the odd cell decides.
+    base = hadamard_to_oa(hadamard(24)).grid
+    mixed = OrthogonalArray(base[:, [1, 9, 11, 17, 18, 21]], 2)
+    try:
+        constraint_system(mixed, 2)
+    except UnsupportedMultiplicity as exc:
+        print("constraint system of the mixed array:", exc)
+    print("fix_state on the mixed array:", fix_state(mixed, 2))
 
 
 if __name__ == "__main__":

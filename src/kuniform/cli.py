@@ -331,7 +331,7 @@ def state_fix_signs(oa_file: str, k: int) -> None:
     array = parse_oa_file(_read(oa_file))
     try:
         result = fix_state(array, k)
-    except (Unsupported, UnsupportedMultiplicity):
+    except Unsupported:
         _echo("unsupported")
         sys.exit(4)
     if result is Infeasible:

@@ -7,46 +7,31 @@ by exactly two pairs {(i, j), (l, m)} vanishes iff
 
     alpha_i + alpha_j + alpha_l + alpha_m = 1  (mod 2),
 
-where the phase of row t is (-1)**alpha_t.  Collecting one such parity
-constraint per two-pair cell gives a linear system over GF(2); solving it
-(when consistent) produces a state whose k-uniformity then certifies.
-Cells fed by an odd number of pairs admit no +/-1 solution at all; cells
-fed by four or more pairs fall outside the linear derivation and are
-handled by bounded exhaustive search (at most 21 rows): it returns the
-smallest sign vector, walking the 2**(r-1) candidates in ascending chunks
-and stopping at the first chunk with a solution, so only an Infeasible
-answer sweeps them all, and it holds one chunk in memory.  The cells and
-their pairs come from the block kernels of `oa` (`oa._subset_cells`): the
-row pairs that differ on at most k columns, all kept, grouped per
-(subset, cell); the strength check, and those pairs where a census lists
-them, come from `oa._strength`.
+where the phase of row t is (-1)**alpha_t: one parity constraint per
+two-pair cell, a linear system over GF(2).  A cell fed by an odd number of
+pairs admits no +/-1 solution; cells fed by four or more fall outside the
+linear derivation and go to a bounded exhaustive search (at most 21 rows).
+The cells of `oa._subset_cells` (the row pairs that differ on at most k
+columns, all kept, grouped per (subset, cell)) are walked once into one
+table of arrays, whose pair counts decide.  The pair census of the
+strength check (`oa._strength`), if any, lists the pairs and certifies the
+repaired state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import tee
-from typing import Iterable, Iterator, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    DuplicateRows,
-    NotAnOAAtStrength,
-    OddContributions,
-    ParameterViolation,
-    PostconditionFailed,
-    Unsupported,
-    UnsupportedMultiplicity,
-)
-from .oa import (
-    _BLOCK_CELLS,
-    OrthogonalArray,
-    _group_rows,
-    _strength,
-    _subset_cells,
-)
-from .states import PureState, _is_k_uniform, digits_to_word, state_from_oa
+from .errors import (DuplicateRows, NotAnOAAtStrength, OddContributions,
+                     ParameterViolation, PostconditionFailed, Unsupported,
+                     UnsupportedMultiplicity)
+from .oa import (_BLOCK_CELLS, OrthogonalArray, _group_rows, _strength,
+                 _subset_cells)
+from .states import (DEFAULT_TOL, PureState, _certifies, digits_to_word,
+                     state_from_oa)
 
 EXHAUSTIVE_ROW_LIMIT = 21
 
@@ -88,18 +73,17 @@ class SignConstraintSystem:
     constraints: Tuple[SignConstraint, ...]
 
     def satisfied_by(self, bits) -> bool:
-        """True iff the bit assignment (sequence or int bitmask) satisfies
-        every constraint."""
-        if isinstance(bits, int):
-            if not 0 <= bits < 1 << self.variable_count:
-                raise ParameterViolation(
-                    f"bitmask {bits} outside 0..2**{self.variable_count} - 1")
-            values = [(bits >> i) & 1 for i in range(self.variable_count)]
-        else:
-            values = [int(b) & 1 for b in bits]
-            if len(values) != self.variable_count:
-                raise ParameterViolation(
-                    f"need {self.variable_count} bits, got {len(values)}")
+        """True iff the bits satisfy every constraint: one 0 or 1 per
+        variable, or an integer bitmask (not bool) whose bit i is variable i."""
+        r = self.variable_count
+        if isinstance(bits, (int, np.integer)) and not isinstance(bits, bool):
+            if not 0 <= int(bits) < 1 << r:
+                raise ParameterViolation(f"bitmask {bits} outside 0..2**{r} - 1")
+            bits = [(int(bits) >> i) & 1 for i in range(r)]
+        values = list(bits) if np.iterable(bits) else []
+        if len(values) != r or any(b not in (0, 1) for b in values):
+            raise ParameterViolation(
+                f"need a bitmask or {r} bits, each 0 or 1, got {bits!r}")
         return all(
             sum(values[v] for v in c.variables) % 2 == c.parity
             for c in self.constraints)
@@ -116,46 +100,79 @@ class SignSolution:
         return tuple(1.0 if b == 0 else -1.0 for b in self.assignment)
 
 
-def _cells(array: OrthogonalArray, k: int, close=None):
-    """Yield (kept, cell, pairs) for each off-diagonal cell with at least
-    one contributing row pair, in lexicographic (kept, cell) order; the
-    pairs (i < j) of a cell ascend.  `close`: the close pairs at distance
-    <= k, when a pair census has them."""
-    grid = array.grid
-    for subsets, _, sub, u, v, bounds in _subset_cells(grid, array.levels, k,
-                                                       close):
-        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            kept = tuple(subsets[sub[start]].tolist())
-            cell = tuple(digits_to_word(grid[row, list(kept)].tolist())
-                         for row in (u[start], v[start]))
-            pairs = sorted((min(i, j), max(i, j)) for i, j in
-                           zip(u[start:stop].tolist(), v[start:stop].tolist()))
-            yield kept, cell, pairs
+class _CellTable(NamedTuple):
+    """The off-diagonal cells fed by a row pair, in (kept, cell) order:
+    cell c of kept subset `kept[c]` is labelled by the kept words of rows
+    `low[c]` and `high[c]` (smaller first) and fed by `count[c]` row
+    pairs, its run of the pairs (`i`, `j`): i < j, ascending in the cell."""
+
+    kept: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    count: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
 
 
-def _checked_cells(array: OrthogonalArray, k: int) -> Iterator[tuple]:
-    """`constraint_system`'s checks of the array and k, made at once; then
-    the cells of `_cells`, lazily, so that a raising cell ends the walk.
-    The census `oa._strength` takes, if any, lists the close pairs."""
-    n, grid = array.factors, array.grid
+def _cell_table(array: OrthogonalArray, k: int, close=None) -> _CellTable:
+    """The cells of `oa._subset_cells`, walked once into a `_CellTable`;
+    `close`: the close pairs at distance <= k, if a pair census has them."""
+    blocks = []
+    for subsets, _, sub, u, v, bounds in _subset_cells(array.grid,
+                                                       array.levels, k, close):
+        first, count = bounds[:-1], np.diff(bounds)
+        i, j = np.minimum(u, v), np.maximum(u, v)
+        order = np.lexsort((j, i, np.repeat(np.arange(len(count)), count)))
+        blocks.append((subsets[sub[first]], u[first], v[first], count,
+                       i[order], j[order]))
+    return _CellTable(*map(np.concatenate, zip(*blocks)))
+
+
+def _cells(array: OrthogonalArray, k: int, table=None):
+    """Yield (kept, cell, pairs) for each cell of `table` (by default the
+    array's `_cell_table` at k): its kept subset, the kept words that
+    label it and its list of pairs."""
+    kept, low, high, count, i, j = table or _cell_table(array, k)
+    pairs, start = list(zip(i.tolist(), j.tolist())), 0
+    for cols, a, b, size in zip(kept.tolist(), low.tolist(), high.tolist(),
+                                count.tolist()):
+        yield (tuple(cols), (digits_to_word(array.grid[a, cols].tolist()),
+                             digits_to_word(array.grid[b, cols].tolist())),
+               pairs[start:start + size])
+        start += size
+
+
+def _checked(array: OrthogonalArray, k: int) -> tuple:
+    """(table, census): the checks of the array and k, then its
+    `_cell_table` at k and the pair census `oa._strength` took, if any,
+    its pairs renumbered into the word order of the array's state (the
+    duplicate-row check's sort), so that it certifies that state."""
+    n, r, grid = array.factors, array.runs, array.grid
+    if not 1 <= k <= n / 2:
+        raise ParameterViolation(
+            f"sign fixing requires 1 <= k <= N/2, got k={k}, N={n}")
     strong, census = _strength(grid, array.levels, k, reach=k,
                                proven=array.strength or 0)
     if not strong:
         raise NotAnOAAtStrength(f"array does not have strength {k}")
-    if k > n / 2:
-        raise ParameterViolation(
-            f"sign fixing requires k <= N/2, got k={k}, N={n}")
-    if len(_group_rows(grid, range(n))[1]) <= array.runs:
+    order, bounds = _group_rows(grid, range(n))
+    if len(bounds) <= r:
         raise DuplicateRows("array has repeated rows")
-    return _cells(array, k, None if census is None else census.pairs)
+    table = _cell_table(array, k, None if census is None else census.pairs)
+    if census is not None:  # its pairs (u < v) renumbered into word order
+        rank = np.empty(r, dtype=np.intp)
+        rank[order] = np.arange(r)  # array row order[t] is the state's term t
+        u, v, support = census.pairs
+        u, v = rank[u], rank[v]
+        census = census._replace(pairs=(np.minimum(u, v), np.maximum(u, v),
+                                        support))
+    return table, census
 
 
-def _system(array: OrthogonalArray,
-            cells: Iterable[tuple]) -> SignConstraintSystem:
-    """The parity constraints of `_checked_cells`' cells; the first cell
-    that is fed by an odd number or by four or more pairs raises."""
+def _system(array: OrthogonalArray, k: int, table) -> SignConstraintSystem:
+    """The table's parity constraints; raises at the first cell not of two pairs."""
     constraints = []
-    for kept, cell, pairs in cells:
+    for kept, cell, pairs in _cells(array, k, table):
         if len(pairs) % 2 == 1:
             raise OddContributions(
                 f"cell {cell} of kept subset {kept} receives {len(pairs)} "
@@ -165,21 +182,19 @@ def _system(array: OrthogonalArray,
                 f"cell {cell} of kept subset {kept} receives {len(pairs)} "
                 "row pairs; beyond the two-pair linear treatment")
         (i, j), (l, m) = pairs
-        odd_vars: set = set()
-        for v in (i, j, l, m):
-            odd_vars.symmetric_difference_update({v})
-        constraints.append(SignConstraint(tuple(sorted(odd_vars)), 1, kept, cell))
+        constraints.append(
+            SignConstraint(tuple(sorted({i, j} ^ {l, m})), 1, kept, cell))
     return SignConstraintSystem(array.runs, tuple(constraints))
 
 
 def constraint_system(array: OrthogonalArray, k: int) -> SignConstraintSystem:
     """Extract the parity constraints for all kept k-subsets.
 
-    Raises OddContributions when some cell is fed by an odd number of row
-    pairs (no +/-1 assignment can cancel it) and UnsupportedMultiplicity when
-    some cell is fed by four or more pairs (not a linear condition).
+    At the first cell, in (kept, cell) order, fed by an odd number of row
+    pairs (no +/-1 assignment can cancel it) or by four or more (not a
+    linear condition), raises OddContributions or UnsupportedMultiplicity.
     """
-    return _system(array, _checked_cells(array, k))
+    return _system(array, k, _checked(array, k)[0])
 
 
 def solve_signs(system: SignConstraintSystem) -> Union[SignSolution, _InfeasibleType]:
@@ -231,16 +246,16 @@ def solve_signs(system: SignConstraintSystem) -> Union[SignSolution, _Infeasible
     return solution
 
 
-def _exhaustive_search(array: OrthogonalArray, cells: Iterable[tuple]
-                       ) -> Union[PureState, _InfeasibleType]:
-    """The smallest sign bitmask (alpha_0 = 0) cancelling every cell of
-    `_checked_cells`, as a state; Infeasible when none of the 2**(r-1)
-    does.  The even bitmasks are walked in ascending chunks (2**10, then
-    doubling up to `_BLOCK_CELLS`), each filtered cell by cell, so the
-    first chunk with a survivor ends the search and one chunk is held."""
-    r = array.runs
-    cells = [(np.array([(1 << i) | (1 << j) for i, j in pairs], dtype=np.uint64),
-              len(pairs)) for _, _, pairs in cells]
+def _exhaustive_search(r: int, table: _CellTable
+                       ) -> Union[SignSolution, _InfeasibleType]:
+    """The smallest sign bitmask (alpha_0 = 0) of r rows cancelling every
+    cell of `table`; Infeasible when none of the 2**(r-1) does.  The even
+    bitmasks are walked in ascending chunks (2**10, then doubling up to
+    `_BLOCK_CELLS`), each filtered cell by cell, so the first chunk with a
+    survivor ends the search and one chunk is held."""
+    flips = (1 << table.i | 1 << table.j).astype(np.uint64)  # one per pair
+    cells = list(zip(np.split(flips, np.cumsum(table.count)[:-1]),
+                     table.count.tolist()))
     start, size, end = 0, 1 << 10, 1 << (r - 1)
     while start < end:
         stop = min(start + size, end)
@@ -254,8 +269,7 @@ def _exhaustive_search(array: OrthogonalArray, cells: Iterable[tuple]
                 break
         else:
             best = int(candidates[0])
-            phases = tuple(-1.0 if (best >> i) & 1 else 1.0 for i in range(r))
-            return state_from_oa(array, phases)
+            return SignSolution(tuple((best >> i) & 1 for i in range(r)))
         start, size = stop, min(2 * size, _BLOCK_CELLS)
     return Infeasible
 
@@ -264,40 +278,25 @@ def fix_state(array: OrthogonalArray, k: int) -> Union[PureState, _InfeasibleTyp
     """Return a +/-1-phase state over the array's rows whose k-uniformity
     certifies, or Infeasible when no such signs exist.
 
-    Odd-multiplicity cells mean no +/-1 assignment exists (Infeasible).
-    Cells with four or more pairs fall back to exhaustive search for
-    r <= 21 rows and raise Unsupported beyond that.  The search returns the
-    smallest sign vector (as a bitmask, alpha_0 = 0): it walks the
-    candidates in ascending chunks, stops at the first solution, sweeps all
-    2**(r-1) only to answer Infeasible and holds one chunk in memory.
+    Decided from the cell table's pair counts, in this order: a cell fed by
+    an odd number of pairs is Infeasible; else a cell of four or more pairs
+    sends r <= 21 rows to the exhaustive search (the smallest sign vector)
+    and raises Unsupported beyond that; else the GF(2) system is solved.
     """
-    # one walk of the cells: the search reads what the system step read
-    # (tee keeps it) and then the rest
-    cells, again = tee(_checked_cells(array, k))
-    try:
-        system = _system(array, cells)
-    except OddContributions:
+    table, census = _checked(array, k)
+    if (table.count % 2).any():
         return Infeasible
-    except UnsupportedMultiplicity as exc:
-        if array.runs <= EXHAUSTIVE_ROW_LIMIT:
-            result = _exhaustive_search(array, again)
-            if result is not Infeasible:
-                _require_k_uniform(result, k)
-            return result
-        raise Unsupported(
-            f"cell multiplicity beyond the linear treatment and "
-            f"{array.runs} rows exceed the exhaustive-search limit "
-            f"{EXHAUSTIVE_ROW_LIMIT}") from exc
-
-    solution = solve_signs(system)
+    if (table.count >= 4).any():
+        if array.runs > EXHAUSTIVE_ROW_LIMIT:
+            raise Unsupported("cell multiplicity beyond the linear treatment and "
+                              f"{array.runs} rows exceed the exhaustive-search "
+                              f"limit {EXHAUSTIVE_ROW_LIMIT}")
+        solution = _exhaustive_search(array.runs, table)
+    else:
+        solution = solve_signs(_system(array, k, table))
     if solution is Infeasible:
         return Infeasible
     state = state_from_oa(array, solution.phases)
-    _require_k_uniform(state, k)
+    if not _certifies(state, k, DEFAULT_TOL, census)[0]:
+        raise PostconditionFailed(f"repaired state does not certify as {k}-uniform")
     return state
-
-
-def _require_k_uniform(state: PureState, k: int) -> None:
-    if not _is_k_uniform(state, k):
-        raise PostconditionFailed(
-            f"repaired state does not certify as {k}-uniform")

@@ -509,7 +509,7 @@ def _certifies(state: PureState, k: int, tol: float,
                census: Optional[_Census] = None
                ) -> Tuple[bool, Optional[_Census]]:
     """(`_is_k_uniform` at a checked k and tol, the pair census).  `census`
-    is one taken at a smaller k, if any; without one, a census is taken
+    is one taken at k or below, if any; without one, a census is taken
     where it pays (`oa._census`), unless r alone decides.  Where `_early`
     gives no answer, the scan decides, fed the census's pairs and skipping
     the diagonal when strength k is proven."""

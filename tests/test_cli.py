@@ -10,7 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 from kuniform import (
+    OrthogonalArray,
     bush_oa,
+    hadamard,
+    hadamard_to_oa,
     juxtapose,
     parse_ket,
     parse_oa_file,
@@ -365,6 +368,19 @@ def test_state_fix_signs_infeasible(runner, tmp_path):
     result = invoke(runner, "state", "fix-signs", path, "--k", "1")
     assert result.exit_code == 3
     assert result.output.strip() == "infeasible"
+
+
+def test_state_fix_signs_odd_cell_beside_a_wide_cell_is_infeasible(
+        runner, tmp_path):
+    # a cell fed by one pair and one fed by six, over 24 rows: the odd
+    # cell decides, whatever the wide one would need
+    base = hadamard_to_oa(hadamard(24)).grid
+    array = OrthogonalArray(base[:, [1, 9, 11, 17, 18, 21]], 2)
+    path = tmp_path / "mixed.oa"
+    path.write_text(write_oa_file(array))
+    result = invoke(runner, "state", "fix-signs", str(path), "--k", "2")
+    assert result.exit_code == 3
+    assert result.output == "infeasible\n"
 
 
 def test_state_fix_signs_exhaustive_and_unsupported(runner, tmp_path):

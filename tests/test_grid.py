@@ -220,16 +220,17 @@ def test_a_declared_strength_answers_strength_queries(monkeypatch,
     calls.clear()
     # above the declared strength, and on undeclared arrays, the rows are
     # checked as before, with the same answers and errors; constraint_system
-    # proves the 8 x 5 array's strength by its own pair census
+    # proves the 8 x 5 array's strength by its own pair census, and refuses
+    # k > N/2 before it asks for any strength
     with pytest.raises(NotAnOAAtStrength):
         oa_index(a, 3)
     with pytest.raises(ParameterViolation):
         oa_index(a, -1)
     assert constraint_system(undeclared, 2) == system
     assert oa_index(undeclared, 2) == 2
-    with pytest.raises(NotAnOAAtStrength):
+    with pytest.raises(ParameterViolation):
         constraint_system(undeclared, 3)
-    assert calls == [3, -1, 2, 2, 3]
+    assert calls == [3, -1, 2, 2]
 
 
 def test_unpickling_verifies_the_strength_again(monkeypatch):

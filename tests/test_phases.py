@@ -4,8 +4,9 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kuniform.phases
@@ -24,13 +25,18 @@ from kuniform import (
     bush_oa,
     constraint_system,
     fix_state,
+    hadamard,
+    hadamard_to_oa,
     is_irredundant,
     parse_oa_file,
+    permute_rows,
     solve_signs,
     state_from_oa,
     uniformity,
     write_ket,
 )
+
+from oracles import string_key_cells
 
 
 def load_oa(fixtures_dir, name):
@@ -72,14 +78,36 @@ def test_constraint_system_empty_iff_irredundant(fixtures_dir):
 
 
 def test_constraint_system_preconditions(fixtures_dir):
+    # strength 1, but columns 1 and 3 agree, so not strength 2
+    weak = OrthogonalArray(rows=((0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 0),
+                                 (1, 1, 0, 1)), levels=2, strength=1)
     with pytest.raises(NotAnOAAtStrength):
-        constraint_system(load_oa(fixtures_dir, "oa_8_5_2_2"), 3)
+        constraint_system(weak, 2)
     with pytest.raises(ParameterViolation):
         constraint_system(load_oa(fixtures_dir, "oa_8_4_2_3"), 3)  # k > N/2
+    with pytest.raises(ParameterViolation):  # k > N/2 before strength 3
+        constraint_system(load_oa(fixtures_dir, "oa_8_5_2_2"), 3)
     dup = OrthogonalArray(rows=((0, 0), (0, 0), (1, 1), (1, 1)),
                           levels=2, strength=1)
     with pytest.raises(DuplicateRows):
         constraint_system(dup, 1)
+
+
+@pytest.mark.parametrize("k", [0, -1, 3])
+def test_sign_fixing_refuses_k_outside_one_to_half_n(monkeypatch, k):
+    # one check, before any kernel runs, with one message for both
+    # functions: k = 0 no longer runs the whole repair (and an empty
+    # constraint system) to fail in the postcondition
+    array = bush_oa(3, 2)
+    monkeypatch.setattr(kuniform.phases, "_strength", None)
+    monkeypatch.setattr(kuniform.phases, "_subset_cells", None)
+    messages = set()
+    for call in (constraint_system, fix_state):
+        with pytest.raises(ParameterViolation) as caught:
+            call(array, k)
+        messages.add(str(caught.value))
+    assert messages == {
+        f"sign fixing requires 1 <= k <= N/2, got k={k}, N=4"}
 
 
 def test_constraint_system_odd_cell_count_is_rejected():
@@ -175,6 +203,32 @@ def test_satisfied_by_rejects_out_of_range_bitmasks():
         system.satisfied_by([0, 1, 0])
 
 
+FOUR_VARIABLES = SignConstraintSystem(4, (
+    SignConstraint((0, 1), 1, (0,), ("0", "1")),))
+
+
+@pytest.mark.parametrize("bits", [np.int64(2), np.uint8(2), np.int32(6)])
+def test_satisfied_by_reads_numpy_integer_bitmasks(bits):
+    assert FOUR_VARIABLES.satisfied_by(bits)
+    assert not FOUR_VARIABLES.satisfied_by(type(bits)(3))
+    with pytest.raises(ParameterViolation):
+        FOUR_VARIABLES.satisfied_by(type(bits)(16))
+
+
+@pytest.mark.parametrize("bits", [[0, 1, 0, 5], [0, 1, 0, -1], [0, 1, 0, 2],
+                                  [0, 0.5, 0, 0], ["0", "1", "0", "0"]])
+def test_satisfied_by_refuses_entries_other_than_zero_and_one(bits):
+    # [0, 1, 0, 5] used to be read by its low bits, as [0, 1, 0, 1]
+    with pytest.raises(ParameterViolation):
+        FOUR_VARIABLES.satisfied_by(bits)
+
+
+@pytest.mark.parametrize("bits", [True, False, np.True_, 2.0, None])
+def test_satisfied_by_refuses_bools_and_other_scalars(bits):
+    with pytest.raises(ParameterViolation):
+        FOUR_VARIABLES.satisfied_by(bits)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end state repair
 # ---------------------------------------------------------------------------
@@ -223,7 +277,8 @@ def test_fix_state_exhaustive_fallback_too_big():
 def test_failed_postconditions_raise_library_errors(fixtures_dir, monkeypatch):
     # explicit checks, not asserts, so they hold under python -O
     array = load_oa(fixtures_dir, "oa_8_5_2_2_signfix")
-    monkeypatch.setattr(kuniform.phases, "_is_k_uniform", lambda state, k: False)
+    monkeypatch.setattr(kuniform.phases, "_certifies",
+                        lambda state, k, tol, census: (False, census))
     with pytest.raises(PostconditionFailed):
         fix_state(array, 2)
     monkeypatch.setattr(SignConstraintSystem, "satisfied_by",
@@ -245,6 +300,93 @@ def test_fix_state_walks_the_cells_once(monkeypatch):
     state = fix_state(full_factorial(2, 4, strength=4), 1)
     assert state and uniformity(state, 1).certified
     assert len(calls) == 1
+
+
+def test_fix_state_certifies_with_the_strength_census(monkeypatch,
+                                                      fixtures_dir):
+    # the strength check's pair census, its pairs renumbered into the
+    # state's word order, certifies the repaired state: one census, not two
+    array = load_oa(fixtures_dir, "oa_8_5_2_2_signfix")
+    # rows out of word order: the renumbered pairs still find every cell
+    shuffled = permute_rows(array, [5, 2, 7, 0, 6, 3, 1, 4])
+    calls = []
+    real = kuniform.oa._pair_census
+
+    def spy(grid, reach):
+        calls.append(reach)
+        return real(grid, reach)
+
+    monkeypatch.setattr(kuniform.oa, "_pair_census", spy)
+    state = fix_state(array, 2)
+    assert calls == [2]
+    assert uniformity(state, 2).certified
+    calls.clear()
+    state = fix_state(shuffled, 2)
+    assert calls == [2]
+    assert state and uniformity(state, 2).certified
+
+
+# ---------------------------------------------------------------------------
+# mixed cell sets: an odd cell beside a wide one
+# ---------------------------------------------------------------------------
+
+def mixed_array():
+    """Six columns of the order-24 Hadamard array whose cells at k = 2
+    include one fed by a single pair and one fed by six."""
+    base = hadamard_to_oa(hadamard(24)).grid
+    return OrthogonalArray(base[:, [1, 9, 11, 17, 18, 21]], 2)
+
+
+def test_an_odd_cell_is_infeasible_beside_a_wide_cell(monkeypatch):
+    array = mixed_array()
+    counts = {len(pairs) for _, _, pairs in string_key_cells(array.rows, 2)}
+    assert {1, 6} <= counts and array.runs > 21
+
+    def refuse(*args):
+        raise AssertionError("no search: the odd cell decides")
+
+    monkeypatch.setattr(kuniform.phases, "_exhaustive_search", refuse)
+    assert fix_state(array, 2) is Infeasible
+    # constraint_system still names the first offending cell
+    with pytest.raises(UnsupportedMultiplicity, match="6 row pairs"):
+        constraint_system(array, 2)
+
+
+HADAMARD_GRIDS = {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([8, 12, 16, 20, 24]), st.sampled_from([1, 2]),
+       st.integers(0, 2 ** 32 - 1))
+@example(24, 2, 28)
+@example(24, 2, 32)
+def test_fix_state_follows_the_cell_counts(order, k, seed):
+    # the answer read off the oracle's pair counts: an odd count is
+    # Infeasible; else a count >= 4 beyond 21 rows is Unsupported; any
+    # returned state certifies.  Seeds 28 and 32 draw mixed cell sets (an
+    # odd cell and a wide one) from the order-24 array at k = 2
+    if order not in HADAMARD_GRIDS:
+        HADAMARD_GRIDS[order] = hadamard_to_oa(hadamard(order)).grid
+    rng = random.Random(seed)
+    m = rng.randint(2 * k, order - 1)
+    cols = sorted(rng.sample(range(order - 1), m))
+    array = OrthogonalArray(HADAMARD_GRIDS[order][:, cols], 2)
+    rows = array.rows
+    if len(set(rows)) < len(rows):
+        with pytest.raises(DuplicateRows):
+            fix_state(array, k)
+        return
+    counts = [len(pairs) for _, _, pairs in string_key_cells(rows, k)]
+    odd = any(c % 2 for c in counts)
+    if not odd and any(c >= 4 for c in counts) and array.runs > 21:
+        with pytest.raises(Unsupported):
+            fix_state(array, k)
+        return
+    result = fix_state(array, k)
+    if odd:
+        assert result is Infeasible
+    elif result is not Infeasible:
+        assert uniformity(result, k).certified
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +413,15 @@ def smallest_signs(r, cells, stop=None):
 
 
 def search(array, cells):
-    return kuniform.phases._exhaustive_search(
-        array, [((), ("", ""), pairs) for pairs in cells])
+    """The exhaustive search over `cells` (lists of pairs), as a state."""
+    i, j = zip(*(pair for pairs in cells for pair in pairs))
+    none = np.zeros(0, dtype=np.intp)
+    table = kuniform.phases._CellTable(
+        none, none, none, np.array([len(pairs) for pairs in cells]),
+        np.array(i), np.array(j))
+    result = kuniform.phases._exhaustive_search(array.runs, table)
+    return (result if result is Infeasible
+            else state_from_oa(array, result.phases))
 
 
 def ket(array, mask):

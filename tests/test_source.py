@@ -90,3 +90,20 @@ def test_only_the_deciders_take_the_census():
     assert callers == {("oa.py", "_strength"), ("oa.py", "_separation"),
                        ("states.py", "uniformity"),
                        ("states.py", "_certifies")}
+
+
+def test_sign_fixing_decides_from_the_cell_table():
+    # fix_state reads its answer off the cell table's pair counts: no
+    # exception carries a decision from the cell walk to it, and no tee
+    # replays the walk
+    tree = _tree("phases.py")
+    fix = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "fix_state")
+    caught = {_names(name) for handler in ast.walk(fix)
+              if isinstance(handler, ast.ExceptHandler) and handler.type
+              for name in ast.walk(handler.type)}
+    assert caught.isdisjoint({"OddContributions", "UnsupportedMultiplicity"})
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "tee" not in imported
